@@ -20,7 +20,11 @@ Rules (each documented in docs/STATIC_ANALYSIS.md):
   no-alloc-in-step  No Mat/Vec construction inside the ADM-G step hot path
                     (InProcessExecutor::step / the legacy AdmgSolver::step) —
                     it works entirely out of workspaces allocated in reset(),
-                    so steady-state iterations are allocation-free.
+                    so steady-state iterations are allocation-free. The same
+                    holds for the exact rank-one QP kernels in
+                    src/opt/rank_one_qp.cpp, which work in RankOneQpScratch:
+                    no Mat/Vec/std::vector construction anywhere in that
+                    file outside the Vec-returning convenience wrappers.
   finite-iterate-guard
                     The one solver iteration loop (AdmgEngine::solve) must
                     route iterations through SolverWatchdog::observe so
@@ -33,12 +37,14 @@ Rules (each documented in docs/STATIC_ANALYSIS.md):
                     drivers provably run the same prediction/correction loop.
   no-sort-in-hot-path
                     No std::sort / std::stable_sort / std::partial_sort in the
-                    ADM-G hot path (src/admm/** and the projection fast paths
-                    in src/math/projections.*): the O(n) Condat projection
-                    exists precisely so the per-iteration cost has no n log n
-                    term. The bit-pinned sort-based reference implementation
-                    lives in src/math/projections_reference.cpp, the one file
-                    exempt by name.
+                    ADM-G hot path (src/admm/**, the projection fast paths
+                    in src/math/projections.* and the exact rank-one QP in
+                    src/opt/rank_one_qp.*): the O(n) Condat threshold exists
+                    precisely so the per-iteration cost has no n log n term.
+                    The sort-based references live in
+                    src/math/projections_reference.cpp and
+                    src/opt/rank_one_qp_reference.cpp, the files exempt by
+                    name.
   obs-layering      The observability layer (src/obs) consumes solver results,
                     never drives solves: it may include only obs/, util/,
                     model/ headers and the dedicated result/telemetry seams
@@ -238,9 +244,47 @@ def _body_span(text: str, open_paren: int) -> tuple[int, int] | None:
     return None
 
 
+# The exact rank-one QP kernels run inside every Exact-method block solve and
+# work in RankOneQpScratch (kept in BlockWorkspace next to the coefficient
+# buffers), so the whole file is allocation-free except the Vec-returning
+# convenience wrappers, whose definitions are exempt by name. Besides Mat/Vec
+# construction this scope also flags std::vector locals.
+QP_KERNEL_FILE = "src/opt/rank_one_qp.cpp"
+QP_WRAPPER_DEF_RE = re.compile(
+    r"\bVec\s+solve_rank_one_qp_(?:simplex|capped)\s*\(")
+VECTOR_DECL_RE = re.compile(
+    r"\bstd\s*::\s*vector\s*<[^;&*()]*>\s+[A-Za-z_]\w*\s*[({;=]")
+
+
+def _check_no_alloc_in_qp_kernel(rel: str, lines: list[str]) -> list[Finding]:
+    text = "\n".join(lines)
+    exempt: set[int] = set()
+    for m in QP_WRAPPER_DEF_RE.finditer(text):
+        span = _body_span(text, m.end() - 1)
+        if span is None:
+            continue
+        first = text.count("\n", 0, m.start())  # the signature line
+        last = text.count("\n", 0, span[1])
+        exempt.update(range(first, last + 1))
+    findings = []
+    for i, line in enumerate(lines):
+        if i in exempt:
+            continue
+        code = _strip_comments_and_strings(line)
+        if ((ALLOC_RE.search(code) or VECTOR_DECL_RE.search(code))
+                and not _suppressed(lines, i, "no-alloc-in-step")):
+            findings.append(Finding(
+                rel, i + 1, "no-alloc-in-step",
+                "allocation in the exact rank-one QP kernels; use "
+                "RankOneQpScratch (only the Vec-returning wrappers allocate)"))
+    return findings
+
+
 def check_no_alloc_in_step(rel: str, lines: list[str]) -> list[Finding]:
     if not rel.endswith(".cpp"):
         return []
+    if rel == QP_KERNEL_FILE:
+        return _check_no_alloc_in_qp_kernel(rel, lines)
     text = "\n".join(lines)
     findings = []
     for m in STEP_DEF_RE.finditer(text):
@@ -268,15 +312,19 @@ def check_no_alloc_in_step(rel: str, lines: list[str]) -> list[Finding]:
 # bit-pinned cross-validation baseline in src/math/projections_reference.cpp.
 # A std::sort reappearing under src/admm or in the projection fast paths
 # silently reintroduces the scaling term the frontier bench exists to keep
-# out.
+# out. The exact rank-one QP (the inner solver of every paper run) finds its
+# active sets with the same Condat threshold; its nested-bisection reference
+# (src/opt/rank_one_qp_reference.cpp) sorts and is exempt the same way.
 SORT_HOT_PATH_PREFIXES = ("src/admm/",)
-SORT_HOT_PATH_FILES = {"src/math/projections.hpp", "src/math/projections.cpp"}
-SORT_REFERENCE_FILE = "src/math/projections_reference.cpp"
+SORT_HOT_PATH_FILES = {"src/math/projections.hpp", "src/math/projections.cpp",
+                       "src/opt/rank_one_qp.hpp", "src/opt/rank_one_qp.cpp"}
+SORT_REFERENCE_FILES = {"src/math/projections_reference.cpp",
+                        "src/opt/rank_one_qp_reference.cpp"}
 SORT_CALL_RE = re.compile(r"\bstd\s*::\s*(?:stable_sort|partial_sort|sort)\s*\(")
 
 
 def check_no_sort_in_hot_path(rel: str, lines: list[str]) -> list[Finding]:
-    if rel == SORT_REFERENCE_FILE:
+    if rel in SORT_REFERENCE_FILES:
         return []
     if not (rel.startswith(SORT_HOT_PATH_PREFIXES) or rel in SORT_HOT_PATH_FILES):
         return []
@@ -287,8 +335,9 @@ def check_no_sort_in_hot_path(rel: str, lines: list[str]) -> list[Finding]:
             findings.append(Finding(
                 rel, i + 1, "no-sort-in-hot-path",
                 "std::sort in the ADM-G hot path; use the O(n) Condat "
-                "projection — the sort-based reference lives only in "
-                "src/math/projections_reference.cpp"))
+                "threshold — the sort-based references live only in "
+                "src/math/projections_reference.cpp and "
+                "src/opt/rank_one_qp_reference.cpp"))
     return findings
 
 
@@ -493,8 +542,8 @@ RULES = {
     "no-c-rand": (check_no_c_rand, "use ufc::Rng, not rand()/srand()"),
     "float-equal": (check_float_equal, "no ==/!= on float literals outside tolerance helpers"),
     "bench-csv-name": (check_bench_csv_name, "bench binaries write only ufc_*.csv"),
-    "no-alloc-in-step": (check_no_alloc_in_step, "no Mat/Vec construction inside the ADM-G step hot path"),
-    "no-sort-in-hot-path": (check_no_sort_in_hot_path, "no std::sort in src/admm or the projection fast paths"),
+    "no-alloc-in-step": (check_no_alloc_in_step, "no Mat/Vec construction in the ADM-G step hot path or the exact QP kernels"),
+    "no-sort-in-hot-path": (check_no_sort_in_hot_path, "no std::sort in src/admm, the projection fast paths or the exact QP"),
     "finite-iterate-guard": (check_finite_iterate_guard, "the engine iteration loop must consult SolverWatchdog::observe"),
     "engine-single-loop": (check_engine_single_loop, "GBS correction arithmetic only in src/admm/engine.cpp"),
     "obs-layering": (check_obs_layering, "src/obs includes only seam headers, never solver drivers"),
@@ -744,6 +793,54 @@ def self_test() -> int:
                    "}\n")
             findings = self.lint_source("src/admm/blocks.cpp", cpp)
             self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_sort_in_hot_path_exact_qp_flagged(self):
+            cpp = "void f(std::vector<double>& t) { std::sort(t.begin(), t.end()); }\n"
+            findings = self.lint_source("src/opt/rank_one_qp.cpp", cpp)
+            self.assertIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_sort_in_hot_path_exact_qp_reference_exempt(self):
+            cpp = "void f(std::vector<double>& t) { std::sort(t.begin(), t.end()); }\n"
+            findings = self.lint_source("src/opt/rank_one_qp_reference.cpp", cpp)
+            self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_alloc_in_qp_kernel_vec_flagged(self):
+            cpp = ("double probe(const RankOneQp& qp) {\n"
+                   "  Vec x(qp.direction.size());\n"
+                   "  return sum(x);\n"
+                   "}\n")
+            findings = self.lint_source("src/opt/rank_one_qp.cpp", cpp)
+            self.assertIn("no-alloc-in-step", self.rules_of(findings))
+
+        def test_no_alloc_in_qp_kernel_std_vector_flagged(self):
+            cpp = ("void solve_rank_one_qp_simplex_into(const RankOneQp& qp) {\n"
+                   "  std::vector<double> thresholds(qp.direction.size());\n"
+                   "}\n")
+            findings = self.lint_source("src/opt/rank_one_qp.cpp", cpp)
+            self.assertIn("no-alloc-in-step", self.rules_of(findings))
+
+        def test_no_alloc_in_qp_kernel_wrappers_and_scratch_ok(self):
+            cpp = ("void solve_rank_one_qp_simplex_into(const RankOneQp& qp,\n"
+                   "    std::span<double> out, RankOneQpScratch& scratch) {\n"
+                   "  std::vector<double>& y = scratch.thresholds;\n"
+                   "  y.resize(out.size());\n"
+                   "}\n"
+                   "Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double t) {\n"
+                   "  Vec out(qp.direction.size());\n"
+                   "  RankOneQpScratch scratch;\n"
+                   "  solve_rank_one_qp_simplex_into(qp, out.span(), scratch);\n"
+                   "  return out;\n"
+                   "}\n")
+            findings = self.lint_source("src/opt/rank_one_qp.cpp", cpp)
+            self.assertNotIn("no-alloc-in-step", self.rules_of(findings))
+
+        def test_no_alloc_in_qp_kernel_reference_exempt(self):
+            cpp = ("Vec primal_point(const RankOneQp& qp) {\n"
+                   "  Vec x(qp.direction.size());\n"
+                   "  return x;\n"
+                   "}\n")
+            findings = self.lint_source("src/opt/rank_one_qp_reference.cpp", cpp)
+            self.assertNotIn("no-alloc-in-step", self.rules_of(findings))
 
         def test_no_alloc_in_step_pass_helper_flagged(self):
             cpp = ("void InProcessExecutor::run_screened_datacenter_pass() {\n"

@@ -59,8 +59,7 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
     qp.linear.resize(n);
     for (std::size_t j = 0; j < n; ++j)
       qp.linear[j] = -in.varphi_row[j] - in.rho * in.a_row[j];
-    const Vec solution = solve_rank_one_qp_simplex(qp, in.arrival);
-    std::copy(solution.begin(), solution.end(), out.begin());
+    solve_rank_one_qp_simplex_into(qp, in.arrival, out, ws.qp_scratch);
     return;
   }
 
@@ -204,8 +203,7 @@ void solve_a_block_into(const ABlockInputs& in,
     for (std::size_t i = 0; i < m; ++i)
       qp.linear[i] = in.phi * in.beta + in.varphi_col[i] +
                      in.rho * in.beta * shift - in.rho * in.lambda_col[i];
-    const Vec solution = solve_rank_one_qp_capped(qp, in.capacity);
-    std::copy(solution.begin(), solution.end(), out.begin());
+    solve_rank_one_qp_capped_into(qp, in.capacity, out, ws.qp_scratch);
     return;
   }
 

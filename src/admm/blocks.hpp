@@ -47,7 +47,8 @@ struct InnerSolverOptions {
 };
 
 /// Reusable scratch for the *_into block solvers: FISTA iterate buffers, the
-/// simplex projection's scratch and the exact QP's coefficient vectors.
+/// simplex projection's scratch and the exact QP's coefficient vectors and
+/// solver buffers.
 /// One instance per worker thread; every buffer reaches its steady size
 /// after the first solve and is never reallocated again.
 ///
@@ -63,6 +64,7 @@ struct BlockWorkspace {
   FistaWorkspace fista;
   std::vector<double> sort_scratch;
   RankOneQp qp;
+  RankOneQpScratch qp_scratch;
 };
 
 // ---------------------------------------------------------------------------
@@ -89,8 +91,9 @@ Vec solve_lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
                        const InnerSolverOptions& options);
 
 /// Allocation-free variant writing the minimizer into `out` (sized N). With
-/// the default FISTA method no heap allocation happens once `ws` is warm;
-/// iterates are bit-identical to solve_lambda_block.
+/// the FISTA and Exact methods no heap allocation happens once `ws` is warm
+/// (the PG ablation still allocates); iterates are bit-identical to
+/// solve_lambda_block.
 void solve_lambda_block_into(const LambdaBlockInputs& in,
                              std::span<const double> warm_start,
                              std::span<double> out, BlockWorkspace& ws,

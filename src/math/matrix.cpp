@@ -10,16 +10,6 @@ namespace ufc {
 Mat::Mat(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-double& Mat::operator()(std::size_t r, std::size_t c) {
-  UFC_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Mat::operator()(std::size_t r, std::size_t c) const {
-  UFC_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 Vec Mat::row(std::size_t r) const {
   UFC_EXPECTS(r < rows_);
   Vec out(cols_);

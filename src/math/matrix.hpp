@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "math/vector.hpp"
+#include "util/contract.hpp"
 
 namespace ufc {
 
@@ -19,8 +20,15 @@ class Mat {
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return data_.size(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline for the same reason as Vec::operator[]; the contract stays on.
+  double& operator()(std::size_t r, std::size_t c) {
+    UFC_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    UFC_EXPECTS(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   /// Row r as a copy.
   Vec row(std::size_t r) const;

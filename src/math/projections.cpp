@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/contract.hpp"
 
@@ -37,18 +38,10 @@ Vec project_capped_simplex(const Vec& v, double cap) {
 // removes elements at or below the final threshold. Exact projection, O(n)
 // expected; tau is accumulated incrementally so it can differ from the
 // sorted-prefix reference by a few ulps.
-void project_simplex_condat_into(std::span<const double> v, double total,
-                                 std::span<double> out,
-                                 std::vector<double>& scratch) {
+double simplex_threshold_condat(std::span<const double> v, double total,
+                                std::vector<double>& scratch) {
   UFC_EXPECTS(total >= 0.0);
   UFC_EXPECTS(!v.empty());
-  UFC_EXPECTS(out.size() == v.size());
-  // ufc-lint: allow(float-equal) — exact-zero guard: the degenerate
-  // zero-mass simplex has the all-zeros point as its only member.
-  if (total == 0.0) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
   const std::size_t n = v.size();
   if (scratch.size() < n) scratch.resize(n);
   // scratch holds both lists: the active candidate support grows upward from
@@ -67,9 +60,16 @@ void project_simplex_condat_into(std::span<const double> v, double total,
       active[active_count++] = y;
     } else {
       // The grown threshold excludes the old candidates; park them for the
-      // cleanup pass and restart the candidate set from this element.
-      for (std::size_t k = 0; k < active_count; ++k)
-        scratch[--waiting_top] = active[k];
+      // cleanup pass and restart the candidate set from this element. The
+      // parked block holds the candidates in reverse order and ends at
+      // waiting_top; once more than half of scratch is in use it overlaps
+      // the candidates' own slots, so reverse them in place and then move
+      // the block (an element-by-element copy would overwrite candidates
+      // before reading them).
+      std::reverse(active, active + active_count);
+      waiting_top -= active_count;
+      std::memmove(scratch.data() + waiting_top, active,
+                   active_count * sizeof(double));
       active[0] = y;
       active_count = 1;
       rho = y - total;
@@ -105,9 +105,25 @@ void project_simplex_condat_into(std::span<const double> v, double total,
     if (kept == before) break;
   }
   UFC_ENSURES(active_count > 0);
-  const double tau = rho;
+  return rho;
+}
+
+void project_simplex_condat_into(std::span<const double> v, double total,
+                                 std::span<double> out,
+                                 std::vector<double>& scratch) {
+  UFC_EXPECTS(total >= 0.0);
+  UFC_EXPECTS(!v.empty());
+  UFC_EXPECTS(out.size() == v.size());
+  // ufc-lint: allow(float-equal) — exact-zero guard: the degenerate
+  // zero-mass simplex has the all-zeros point as its only member.
+  if (total == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const double tau = simplex_threshold_condat(v, total, scratch);
   // tau depends only on scratch, so out may alias v.
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::max(v[i] - tau, 0.0);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    out[i] = std::max(v[i] - tau, 0.0);
 }
 
 void project_capped_simplex_condat_into(std::span<const double> v, double cap,

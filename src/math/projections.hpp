@@ -67,6 +67,15 @@ void project_simplex_condat_into(std::span<const double> v, double total,
                                  std::span<double> out,
                                  std::vector<double>& scratch);
 
+/// Condat's threshold alone: the tau with sum max(v_i - tau, 0) = total,
+/// without forming the projection. project_simplex_condat_into returns
+/// max(v - tau, 0) for exactly this tau (for total > 0); the exact rank-one
+/// QP solver (opt/rank_one_qp.hpp) uses it to find its active set. Same
+/// scratch contract as project_simplex_condat_into. At total == 0 this is
+/// max_i v_i.
+double simplex_threshold_condat(std::span<const double> v, double total,
+                                std::vector<double>& scratch);
+
 /// Condat O(n) capped-simplex projection (out may alias v). The inactive-cap
 /// branch is bit-identical to the reference; the active-cap branch delegates
 /// to project_simplex_condat_into.

@@ -7,16 +7,6 @@
 
 namespace ufc {
 
-double& Vec::operator[](std::size_t i) {
-  UFC_EXPECTS(i < data_.size());
-  return data_[i];
-}
-
-double Vec::operator[](std::size_t i) const {
-  UFC_EXPECTS(i < data_.size());
-  return data_[i];
-}
-
 Vec& Vec::operator+=(const Vec& other) {
   UFC_EXPECTS(size() == other.size());
   for (std::size_t i = 0; i < size(); ++i) data_[i] += other.data_[i];

@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "util/contract.hpp"
+
 namespace ufc {
 
 class Vec {
@@ -24,8 +26,16 @@ class Vec {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double& operator[](std::size_t i);
-  double operator[](std::size_t i) const;
+  // Defined here, not in vector.cpp, so the checked access inlines into
+  // every caller's loop; the bounds contract stays on.
+  double& operator[](std::size_t i) {
+    UFC_EXPECTS(i < data_.size());
+    return data_[i];
+  }
+  double operator[](std::size_t i) const {
+    UFC_EXPECTS(i < data_.size());
+    return data_[i];
+  }
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }

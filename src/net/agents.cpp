@@ -48,7 +48,8 @@ void FrontEndAgent::send_proposals(Transport& bus, int iteration) {
   in.rho = config_.protocol.rho;
   in.latency_weight = config_.latency_weight;
   in.utility = config_.utility.get();
-  lambda_tilde_ = admm::solve_lambda_block(in, lambda_, config_.protocol.inner);
+  admm::solve_lambda_block_into(in, lambda_.span(), lambda_tilde_.span(),
+                                workspace_, config_.protocol.inner);
 
   for (std::size_t j = 0; j < n_; ++j) {
     Message msg;
@@ -170,6 +171,7 @@ DatacenterAgent::DatacenterAgent(DatacenterLocalConfig config)
   UFC_EXPECTS(config_.emission_cost != nullptr);
   UFC_EXPECTS(!(config_.protocol.pin_mu && config_.protocol.pin_nu));
   a_ = Vec(config_.num_front_ends, 0.0);
+  a_tilde_ = Vec(config_.num_front_ends, 0.0);
   lambda_tilde_cache_ = Vec(config_.num_front_ends, 0.0);
   varphi_cache_ = Vec(config_.num_front_ends, 0.0);
   last_proposal_round_.assign(config_.num_front_ends, -1);
@@ -250,7 +252,9 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   a_in.lambda_col = lambda_tilde;
   a_in.rho = rho;
   a_in.capacity = config_.capacity_servers;
-  const Vec a_tilde = admm::solve_a_block(a_in, a_, protocol.inner);
+  admm::solve_a_block_into(a_in, a_.span(), a_tilde_.span(), workspace_,
+                           protocol.inner);
+  const Vec& a_tilde = a_tilde_;
 
   // Reply the assignments (procedure 4's second half).
   for (std::size_t i = 0; i < m; ++i) {

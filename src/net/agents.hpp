@@ -109,6 +109,8 @@ class FrontEndAgent {
   std::vector<std::int32_t> last_assignment_round_;
   double last_copy_residual_ = 0.0;
   std::uint64_t stale_assignments_ = 0;
+  /// Inner-solver buffers, kept across rounds so a round allocates nothing.
+  admm::BlockWorkspace workspace_;
 };
 
 /// Everything datacenter j knows locally.
@@ -174,6 +176,7 @@ class DatacenterAgent {
  private:
   DatacenterLocalConfig config_;
   Vec a_;      ///< a_.j^k (owned here).
+  Vec a_tilde_;  ///< This iteration's a-block prediction.
   double mu_ = 0.0;
   double nu_ = 0.0;
   double phi_ = 0.0;
@@ -184,6 +187,8 @@ class DatacenterAgent {
   std::vector<std::int32_t> last_proposal_round_;
   double last_balance_residual_ = 0.0;
   std::uint64_t stale_proposals_ = 0;
+  /// Inner-solver buffers, kept across rounds; see FrontEndAgent.
+  admm::BlockWorkspace workspace_;
 };
 
 }  // namespace ufc::net

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <limits>
 
+#include "math/projections.hpp"
 #include "util/contract.hpp"
 
 namespace ufc {
@@ -18,103 +19,247 @@ void check(const RankOneQp& qp) {
   for (double v : qp.direction) UFC_EXPECTS(v >= 0.0);
 }
 
-/// x_i(theta, s) = max(0, (theta - g_i - c s v_i) / rho).
-Vec primal_point(const RankOneQp& qp, double theta, double s) {
-  const std::size_t n = qp.direction.size();
-  Vec x(n);
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = std::max(
-        0.0, (theta - qp.linear[i] - qp.curvature * s * qp.direction[i]) /
-                 qp.tikhonov);
-  return x;
-}
+/// Bound on probes. Every probe either lands on a piece not seen before or
+/// halves the bracket, and halving from the first bracket down to adjacent
+/// doubles takes about a hundred steps on any sensibly scaled problem.
+constexpr int kMaxProbes = 200;
 
-/// Exact theta with sum x(theta, s) = total (sort-and-threshold).
-double solve_theta(const RankOneQp& qp, double s, double total) {
-  const std::size_t n = qp.direction.size();
-  std::vector<double> thresholds(n);
-  for (std::size_t i = 0; i < n; ++i)
-    thresholds[i] = qp.linear[i] + qp.curvature * s * qp.direction[i];
-  std::sort(thresholds.begin(), thresholds.end());
+/// Relative slack of the KKT sign test. A coordinate whose gap
+/// theta - g_i - c s v_i lies within a few roundings of zero sits on a
+/// breakpoint, where the pieces on both sides give the same solution.
+constexpr double kKktSlack = 64.0 * std::numeric_limits<double>::epsilon();
 
-  // With the k smallest thresholds active:
-  //   theta = (rho * total + sum_{i<k} t_i) / k,
-  // valid iff t_{k-1} < theta and (k == n or theta <= t_k).
-  double prefix = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    prefix += thresholds[k - 1];
-    const double theta =
-        (qp.tikhonov * total + prefix) / static_cast<double>(k);
-    const bool above_last = theta > thresholds[k - 1];
-    const bool below_next = (k == n) || (theta <= thresholds[k]);
-    if (above_last && below_next) return theta;
+/// Sums of one active set S that fix the linear piece of F through it.
+struct Piece {
+  double count = 0.0;   ///< |S|.
+  double g_mean = 0.0;  ///< Mean of g over S.
+  double v_mean = 0.0;  ///< Mean of v over S.
+  double m_gv = 0.0;    ///< sum_S (g_i - gbar)(v_i - vbar).
+  double m_vv = 0.0;    ///< sum_S (v_i - vbar)^2.
+  double gap = 0.0;     ///< F(s) = v . x(theta(s), s) - s at the probe.
+};
+
+/// A KKT point, stored so that the multiplier gap of coordinate i is
+///   theta - g_i - c s v_i = level - g_i + c s (v_ref - v_i),
+/// i.e. theta = level + c s v_ref. A closed-form piece takes v_ref = vbar:
+/// the large terms c s vbar and c s v_i then cancel exactly in v_ref - v_i
+/// instead of after rounding.
+struct Root {
+  double level = 0.0;
+  double v_ref = 0.0;
+  double s = 0.0;
+};
+
+/// Finds the coupling s of one problem: on the simplex (theta re-solved per
+/// s, g shifted by its minimum) or with the sum constraint inactive
+/// (theta = 0, g as given). Works entirely in `scratch`.
+class CouplingSearch {
+ public:
+  CouplingSearch(const RankOneQp& qp, bool fixed_sum, double total,
+                 RankOneQpScratch& scratch)
+      : g_(qp.linear.data()),
+        v_(qp.direction.data()),
+        n_(qp.direction.size()),
+        c_(qp.curvature),
+        rho_(qp.tikhonov),
+        fixed_sum_(fixed_sum),
+        total_(total),
+        mass_(qp.tikhonov * total),
+        selection_(scratch.selection) {
+    scratch.thresholds.resize(n_);
+    y_ = scratch.thresholds.data();
+    if (fixed_sum_) shift_ = *std::min_element(g_, g_ + n_);
   }
-  // total == 0 degenerates to theta = min threshold (empty active set).
-  return thresholds.front();
-}
 
-/// Outer consistency gap F(s) = v . x(theta(s), s) - s for the simplex case
-/// (theta re-solved per s) or the free case (theta = 0).
-double consistency_gap(const RankOneQp& qp, double s, bool fixed_sum,
-                       double total) {
-  const double theta = fixed_sum ? solve_theta(qp, s, total) : 0.0;
-  const Vec x = primal_point(qp, theta, s);
-  return dot(qp.direction, x) - s;
-}
-
-/// Bisection on the strictly decreasing gap over [0, s_hi].
-double solve_coupling(const RankOneQp& qp, double s_hi, bool fixed_sum,
-                      double total) {
-  if (s_hi <= 0.0) return 0.0;
-  double lo = 0.0;
-  double hi = s_hi;
-  if (consistency_gap(qp, lo, fixed_sum, total) <= 0.0) return lo;
-  for (int k = 0; k < 200 && (hi - lo) > 1e-15 * (1.0 + s_hi); ++k) {
-    const double mid = 0.5 * (lo + hi);
-    if (consistency_gap(qp, mid, fixed_sum, total) > 0.0)
-      lo = mid;
-    else
-      hi = mid;
+  Root locate() {
+    if (!(c_ > 0.0)) {
+      probe(0.0);
+      return {theta_at_probe(), 0.0, 0.0};
+    }
+    double lo = 0.0;
+    double hi = 0.0;
+    double p = 0.0;
+    for (int k = 0; k < kMaxProbes; ++k) {
+      const Piece piece = probe(p);
+      if (k == 0) {
+        // F(0) = v . x(theta(0), 0) >= 0; zero means no coupling at all.
+        if (!(piece.gap > 0.0)) return {theta_at_probe(), 0.0, 0.0};
+        // On the simplex s = v . x <= total max v; with theta = 0, x shrinks
+        // as s grows, so s <= v . x(0, 0) = F(0).
+        hi = fixed_sum_ ? total_ * *std::max_element(v_, v_ + n_)
+                        : piece.gap;
+      }
+      (piece.gap > 0.0 ? lo : hi) = p;
+      Root root;
+      const bool solved = solve_piece(piece, root);
+      const double slack = kKktSlack * hi;
+      if (solved && root.s >= lo - slack && root.s <= hi + slack &&
+          optimal(root))
+        return root;
+      // Jump to this piece's root when it is inside the bracket: the next
+      // probe then lands on the piece that holds it, or shrinks the bracket.
+      // Otherwise bisect, down to adjacent doubles: a piece can be far
+      // narrower than any fixed tolerance (its width scales with
+      // rho total / c), and only probing inside it reveals its active set.
+      const double mid = 0.5 * (lo + hi);
+      if (!(mid > lo && mid < hi)) break;
+      p = (solved && root.s > lo && root.s < hi) ? root.s : mid;
+    }
+    // The bracket shrank to adjacent doubles without a certified piece.
+    const double s = 0.5 * (lo + hi);
+    probe(s);
+    return {theta_at_probe(), 0.0, s};
   }
-  return 0.5 * (lo + hi);
+
+  /// x_i = max(0, (theta - g_i - c s v_i) / rho), g shifted as the search.
+  void write(const Root& root, std::span<double> out) const {
+    for (std::size_t i = 0; i < n_; ++i)
+      out[i] = std::max(0.0, multiplier_gap(root, i) / rho_);
+  }
+
+ private:
+  double theta_at_probe() const { return fixed_sum_ ? -tau_ : 0.0; }
+
+  double multiplier_gap(const Root& root, std::size_t i) const {
+    return (root.level - (g_[i] - shift_)) +
+           c_ * root.s * (root.v_ref - v_[i]);
+  }
+
+  /// Evaluates the active set S(p) = {i : y_i > tau} at coupling p, where
+  /// y_i = -(g_i + c p v_i) and theta(p) = -tau, and returns its piece.
+  Piece probe(double p) {
+    for (std::size_t i = 0; i < n_; ++i)
+      y_[i] = -((g_[i] - shift_) + c_ * p * v_[i]);
+    tau_ = fixed_sum_ ? simplex_threshold_condat({y_, n_}, mass_, selection_)
+                      : 0.0;
+    Piece piece;
+    double g_sum = 0.0;
+    double v_sum = 0.0;
+    double vx = 0.0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!(y_[i] > tau_)) continue;
+      piece.count += 1.0;
+      g_sum += g_[i] - shift_;
+      v_sum += v_[i];
+      vx += v_[i] * (y_[i] - tau_);
+    }
+    piece.gap = vx / rho_ - p;
+    if (!(piece.count > 0.0)) return piece;
+    // Centred moments in a second pass: the simplex determinant's
+    // |S| sum v^2 - (sum v)^2 cancels badly when the v_i on S are close.
+    piece.g_mean = g_sum / piece.count;
+    piece.v_mean = v_sum / piece.count;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!(y_[i] > tau_)) continue;
+      const double dv = v_[i] - piece.v_mean;
+      piece.m_vv += dv * dv;
+      piece.m_gv += ((g_[i] - shift_) - piece.g_mean) * dv;
+    }
+    return piece;
+  }
+
+  /// The KKT point of the piece's 2x2 system (see rank_one_qp.hpp).
+  bool solve_piece(const Piece& piece, Root& root) const {
+    if (!(piece.count > 0.0)) return false;
+    if (!fixed_sum_) {
+      // sum_S g v = M_gv + |S| gbar vbar, sum_S v^2 = M_vv + |S| vbar^2.
+      const double gv = piece.m_gv + piece.count * piece.g_mean * piece.v_mean;
+      const double vv = piece.m_vv + piece.count * piece.v_mean * piece.v_mean;
+      root.s = -gv / (rho_ + c_ * vv);
+      return true;
+    }
+    root.s = (mass_ * piece.v_mean - piece.m_gv) / (rho_ + c_ * piece.m_vv);
+    root.level = piece.g_mean + mass_ / piece.count;
+    root.v_ref = piece.v_mean;
+    return true;
+  }
+
+  /// KKT sign conditions at `root` for the active set of the last probe:
+  /// theta - g_i - c s v_i >= 0 on S and <= 0 off S.
+  bool optimal(const Root& root) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double gap = multiplier_gap(root, i);
+      const double slack =
+          kKktSlack * (std::abs(root.level) + std::abs(g_[i] - shift_) +
+                       c_ * std::abs(root.s) * (root.v_ref + v_[i]));
+      const bool active = y_[i] > tau_;
+      if (active ? gap < -slack : gap > slack) return false;
+    }
+    return true;
+  }
+
+  const double* g_;
+  const double* v_;
+  std::size_t n_;
+  double c_;
+  double rho_;
+  bool fixed_sum_;
+  double total_;
+  double mass_;  ///< rho * total (simplex only).
+  double shift_ = 0.0;
+  std::vector<double>& selection_;
+  double* y_ = nullptr;
+  double tau_ = 0.0;
+};
+
+/// Simplex solve for an already checked problem and total > 0.
+void simplex_into(const RankOneQp& qp, double total, std::span<double> out,
+                  RankOneQpScratch& scratch) {
+  CouplingSearch search(qp, /*fixed_sum=*/true, total, scratch);
+  search.write(search.locate(), out);
 }
 
 }  // namespace
 
-Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total) {
+void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
+                                    std::span<double> out,
+                                    RankOneQpScratch& scratch) {
   check(qp);
   UFC_EXPECTS(total >= 0.0);
-  const std::size_t n = qp.direction.size();
+  UFC_EXPECTS(out.size() == qp.direction.size());
   // ufc-lint: allow(float-equal) — exact-zero guard: zero budget pins x = 0.
-  if (total == 0.0) return Vec(n, 0.0);
-
-  double s = 0.0;
-  if (qp.curvature > 0.0) {
-    double v_max = 0.0;
-    for (double v : qp.direction) v_max = std::max(v_max, v);
-    s = solve_coupling(qp, total * v_max, /*fixed_sum=*/true, total);
+  if (total == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
   }
-  return primal_point(qp, solve_theta(qp, s, total), s);
+  simplex_into(qp, total, out, scratch);
+}
+
+void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
+                                   std::span<double> out,
+                                   RankOneQpScratch& scratch) {
+  check(qp);
+  UFC_EXPECTS(cap >= 0.0);
+  UFC_EXPECTS(out.size() == qp.direction.size());
+  // ufc-lint: allow(float-equal) — exact-zero guard: zero cap pins x = 0.
+  if (cap == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  // First try the sum constraint inactive (theta = 0).
+  CouplingSearch search(qp, /*fixed_sum=*/false, 0.0, scratch);
+  search.write(search.locate(), out);
+  double used = 0.0;
+  for (double x : out) used += x;
+  if (used <= cap) return;
+  // The cap binds: identical to the simplex problem at total = cap.
+  simplex_into(qp, cap, out, scratch);
+}
+
+Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total) {
+  UFC_EXPECTS(total >= 0.0);
+  Vec out(qp.direction.size());
+  RankOneQpScratch scratch;
+  solve_rank_one_qp_simplex_into(qp, total, out.span(), scratch);
+  return out;
 }
 
 Vec solve_rank_one_qp_capped(const RankOneQp& qp, double cap) {
-  check(qp);
   UFC_EXPECTS(cap >= 0.0);
-  const std::size_t n = qp.direction.size();
-  // ufc-lint: allow(float-equal) — exact-zero guard: zero cap pins x = 0.
-  if (cap == 0.0) return Vec(n, 0.0);
-
-  // First try the sum constraint inactive (theta = 0).
-  double s = 0.0;
-  if (qp.curvature > 0.0) {
-    // x is entrywise decreasing in s, so s = v . x(s=0) brackets the root.
-    const double s_hi = dot(qp.direction, primal_point(qp, 0.0, 0.0));
-    s = solve_coupling(qp, s_hi, /*fixed_sum=*/false, 0.0);
-  }
-  Vec x = primal_point(qp, 0.0, s);
-  if (sum(x) <= cap) return x;
-  // The cap binds: identical to the simplex problem at total = cap.
-  return solve_rank_one_qp_simplex(qp, cap);
+  Vec out(qp.direction.size());
+  RankOneQpScratch scratch;
+  solve_rank_one_qp_capped_into(qp, cap, out.span(), scratch);
+  return out;
 }
 
 double rank_one_qp_value(const RankOneQp& qp, const Vec& x) {

@@ -7,15 +7,41 @@
 //
 // with c >= 0, rho > 0 and v >= 0 entrywise (v is a latency row or the ones
 // vector). KKT gives x_i = max(0, (theta - g_i - c s v_i) / rho) with two
-// scalars: the sum multiplier theta and the coupling s = v . x. For fixed s,
-// sum x is strictly increasing in theta (inner bisection); the consistency
-// gap  F(s) = v . x(s) - s  is strictly decreasing in s (outer bisection),
-// so a nested bisection finds the global optimum to machine precision —
-// no step sizes, no iteration limits to tune.
+// scalars: the sum multiplier theta and the coupling s = v . x.
+//
+// For a fixed s, theta(s) is a simplex threshold (Condat's O(n) scan,
+// math/projections.hpp), and the gap F(s) = v . x(theta(s), s) - s is
+// piecewise linear and strictly decreasing, with a breakpoint wherever a
+// coordinate enters or leaves the active set S. Once S is known, (theta, s)
+// solve a 2x2 linear system in closed form:
+//
+//   simplex:  s = (rho total vbar - M_gv) / (rho + c M_vv),
+//             theta = gbar + rho total / |S| + c vbar s,
+//   free:     s = -sum_S g_i v_i / (rho + c sum_S v_i^2)   (theta = 0),
+//
+// where gbar, vbar are the means of g and v over S and M_vv, M_gv their
+// centred second moments (the cancellation-free form of the determinant
+// |S|(c sum v^2 + rho) - c (sum v)^2 >= |S| rho > 0). The solver evaluates S
+// at a point of a bracket [lo, hi] around the root of F, solves that piece
+// and accepts the result when the KKT sign conditions hold for it; otherwise
+// it moves to the piece's root (if inside the bracket) or bisects, down to
+// adjacent doubles, since a piece can be narrower than any fixed tolerance.
+// There are finitely many pieces; at paper scale 95% of solves end within
+// four probes, and a bracket that shrinks to adjacent doubles falls back to
+// its midpoint. No sorting and, once the scratch is warm, no allocation.
+//
+// On the simplex, g is shifted by its minimum before thresholds are formed
+// (which changes only theta), so a total far below the rounding of g keeps
+// its sum.
 //
 // Used as the "exact" inner method of the ADMM blocks (ablated against
-// FISTA) and as an independent oracle in the block tests.
+// FISTA) and as an independent oracle in the block tests. The nested
+// bisection it replaced is kept in rank_one_qp_reference.cpp as the
+// cross-validation baseline.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "math/vector.hpp"
 
@@ -28,11 +54,34 @@ struct RankOneQp {
   Vec linear;              ///< g, same size as direction.
 };
 
+/// Reusable buffers of the *_into solvers. Both grow to the problem size on
+/// the first solve and are never reallocated for problems no larger.
+struct RankOneQpScratch {
+  std::vector<double> thresholds;  ///< -(g_i + c s v_i) at the probed s.
+  std::vector<double> selection;   ///< Condat's candidate/waiting lists.
+};
+
 /// Exact minimizer over {x >= 0, sum x = total}. Requires total >= 0.
 Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total);
 
 /// Exact minimizer over {x >= 0, sum x <= cap}. Requires cap >= 0.
 Vec solve_rank_one_qp_capped(const RankOneQp& qp, double cap);
+
+/// Allocation-free solve_rank_one_qp_simplex writing into `out` (sized n).
+/// Same result as the Vec-returning form.
+void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
+                                    std::span<double> out,
+                                    RankOneQpScratch& scratch);
+
+/// Allocation-free solve_rank_one_qp_capped writing into `out` (sized n).
+void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
+                                   std::span<double> out,
+                                   RankOneQpScratch& scratch);
+
+/// The nested bisection the closed form replaced (rank_one_qp_reference.cpp):
+/// an independent method for cross-validation in tests, not a solver path.
+Vec solve_rank_one_qp_simplex_reference(const RankOneQp& qp, double total);
+Vec solve_rank_one_qp_capped_reference(const RankOneQp& qp, double cap);
 
 /// Objective value at x (for tests and verification).
 double rank_one_qp_value(const RankOneQp& qp, const Vec& x);

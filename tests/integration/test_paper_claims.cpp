@@ -10,7 +10,7 @@
 namespace ufc::sim {
 namespace {
 
-// One shared full-week run (the solve is the expensive part; ~15 s total).
+// One shared full-week run (the solve is the expensive part of the suite).
 class PaperClaims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {

@@ -288,6 +288,34 @@ TEST(CondatProjection, ZeroTotalGivesZeroVector) {
   EXPECT_DOUBLE_EQ(fast[1], 0.0);
 }
 
+TEST(CondatProjection, RestartWithMostOfScratchInUseKeepsEveryCandidate) {
+  // Regression: when a restart parks a candidate list that fills more than
+  // half of scratch, the parked block overlaps the candidates. Copied one by
+  // one, {0, 0, 4} lost the 4 before reading it, so the threshold came out
+  // 2 instead of 3 and the projection summed to 7 instead of 5.
+  const Vec v{0.0, 0.0, 4.0, 7.0};
+  const Vec fast = condat_simplex(v, 5.0);
+  EXPECT_TRUE(in_simplex(fast, 5.0));
+  EXPECT_LE(max_abs_diff(fast, project_simplex(v, 5.0)), ulp_scale(v, 5.0));
+  std::vector<double> scratch;
+  EXPECT_DOUBLE_EQ(simplex_threshold_condat(v.span(), 5.0, scratch), 3.0);
+}
+
+TEST(CondatProjection, ThresholdMatchesProjection) {
+  Rng rng(4242);
+  std::vector<double> scratch;
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 40));
+    const double total = rng.uniform(0.1, 10.0);
+    const Vec v = random_vec(rng, n, -5.0, 5.0);
+    const double tau = simplex_threshold_condat(v.span(), total, scratch);
+    const Vec fast = condat_simplex(v, total);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(fast[i], std::max(v[i] - tau, 0.0));
+  }
+}
+
 TEST(CondatProjection, InPlaceAliasingMatchesOutOfPlace) {
   // The contract allows out to alias v; verify bitwise agreement.
   const Vec v{2.0, -1.0, 0.5, 0.5};

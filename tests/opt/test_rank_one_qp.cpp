@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "math/projections.hpp"
 #include "opt/fista.hpp"
 #include "opt/rank_one_qp.hpp"
@@ -154,6 +158,338 @@ TEST(RankOneQp, CappedStaysInteriorWhenOptimal) {
   EXPECT_NEAR(x[1], 0.0, 1e-12);
 }
 
+// ---------------------------------------------------------------------------
+// Closed form vs the nested-bisection reference (rank_one_qp_reference.cpp).
+
+double max_abs(const Vec& x) {
+  double m = 0.0;
+  for (double e : x) m = std::max(m, std::abs(e));
+  return m;
+}
+
+/// KKT sign conditions of a candidate x. With s = v . x, the gradient
+/// d_i = g_i + c s v_i + rho x_i equals one multiplier theta on the support
+/// and is at least theta off it; theta = 0 when the cap is slack and
+/// theta <= 0 when it binds.
+void expect_kkt(const RankOneQp& qp, const Vec& x, bool capped, double bound) {
+  const std::size_t n = x.size();
+  const double s = dot(qp.direction, x);
+  Vec d(n);
+  for (std::size_t i = 0; i < n; ++i)
+    d[i] = qp.linear[i] + qp.curvature * s * qp.direction[i] +
+           qp.tikhonov * x[i];
+  const double tol = 1e-9 * (1.0 + max_abs(d) + max_abs(qp.linear));
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(x.begin(), x.end()) - x.begin());
+  double theta = x[top] > 0.0 ? d[top] : 0.0;
+  const bool slack = capped && sum(x) < bound * (1.0 - 1e-12);
+  if (slack) theta = 0.0;
+  if (capped && !slack) {
+    EXPECT_LE(theta, tol);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_GE(x[i], 0.0) << "coordinate " << i;
+    if (x[i] > 1e-12 * std::max(1.0, bound)) {
+      EXPECT_NEAR(d[i], theta, tol) << "coordinate " << i;
+    } else {
+      EXPECT_GE(d[i], theta - tol) << "coordinate " << i;
+    }
+  }
+}
+
+/// Closed form against the reference: objective within 1e-12 relative, x
+/// within 1e-9 max(1, bound), both feasible and the closed form KKT.
+void expect_matches_reference(const RankOneQp& qp, double bound,
+                              bool capped) {
+  const Vec x = capped ? solve_rank_one_qp_capped(qp, bound)
+                       : solve_rank_one_qp_simplex(qp, bound);
+  const Vec r = capped ? solve_rank_one_qp_capped_reference(qp, bound)
+                       : solve_rank_one_qp_simplex_reference(qp, bound);
+  const double fx = rank_one_qp_value(qp, x);
+  const double fr = rank_one_qp_value(qp, r);
+  EXPECT_NEAR(fx, fr, 1e-12 * std::max(1.0, std::abs(fr)));
+  EXPECT_LE(max_abs_diff(x, r), 1e-9 * std::max(1.0, bound));
+  if (capped) {
+    EXPECT_LE(sum(x), bound * (1.0 + 1e-12));
+  } else {
+    EXPECT_NEAR(sum(x), bound, 1e-12 * std::max(1.0, bound));
+  }
+  expect_kkt(qp, x, capped, bound);
+}
+
+class RankOneQpClosedFormProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RankOneQpClosedFormProperty, MatchesReferenceOnRandomInputs) {
+  Rng rng(GetParam() + 900);
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+  const RankOneQp qp = random_qp(rng, n);
+  const double bound = rng.uniform(0.0, 10.0);
+  expect_matches_reference(qp, bound, /*capped=*/false);
+  expect_matches_reference(qp, bound, /*capped=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RankOneQpClosedFormProperty,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(RankOneQpClosedForm, TiedThresholdsAndZeroDirections) {
+  // Equal g on coordinates with equal v tie their thresholds for every s;
+  // zero v entries never feel the coupling.
+  RankOneQp qp;
+  qp.curvature = 3.0;
+  qp.tikhonov = 0.5;
+  qp.direction = Vec{0.0, 0.04, 0.04, 0.0, 0.1, 0.04};
+  qp.linear = Vec{1.0, 1.0, 1.0, 1.0, -2.0, 1.0};
+  for (double bound : {0.01, 1.0, 7.5}) {
+    expect_matches_reference(qp, bound, false);
+    expect_matches_reference(qp, bound, true);
+  }
+  qp.direction = Vec{0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  for (double bound : {0.01, 1.0, 7.5}) {
+    expect_matches_reference(qp, bound, false);
+    expect_matches_reference(qp, bound, true);
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    RankOneQp q;
+    q.curvature = rng.uniform(0.0, 20.0);
+    q.tikhonov = rng.uniform(0.1, 2.0);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 12));
+    q.direction = Vec(n);
+    q.linear = Vec(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      q.direction[i] = 0.05 * static_cast<double>(rng.uniform_int(0, 2));
+      q.linear[i] = static_cast<double>(rng.uniform_int(-2, 2));
+    }
+    const double bound = rng.uniform(0.0, 5.0);
+    expect_matches_reference(q, bound, false);
+    expect_matches_reference(q, bound, true);
+  }
+}
+
+TEST(RankOneQpClosedForm, ZeroCurvatureAndSingleCoordinate) {
+  Rng rng(5);
+  RankOneQp qp = random_qp(rng, 7);
+  qp.curvature = 0.0;
+  expect_matches_reference(qp, 2.5, false);
+  expect_matches_reference(qp, 2.5, true);
+
+  RankOneQp one;
+  one.curvature = 4.0;
+  one.tikhonov = 0.7;
+  one.direction = Vec{0.03};
+  one.linear = Vec{-1.5};
+  const Vec x = solve_rank_one_qp_simplex(one, 3.0);
+  EXPECT_DOUBLE_EQ(x[0], 3.0);
+  expect_matches_reference(one, 3.0, false);
+  // Capped, n = 1: the free optimum -g / (rho + c v^2) when below the cap.
+  const Vec y = solve_rank_one_qp_capped(one, 100.0);
+  EXPECT_NEAR(y[0], 1.5 / (0.7 + 4.0 * 0.03 * 0.03), 1e-12);
+  expect_matches_reference(one, 100.0, true);
+  expect_matches_reference(one, 0.5, true);
+}
+
+TEST(RankOneQpClosedForm, ZeroTotalAndZeroCap) {
+  Rng rng(6);
+  const RankOneQp qp = random_qp(rng, 5);
+  RankOneQpScratch scratch;
+  Vec out(5, 1.0);
+  solve_rank_one_qp_simplex_into(qp, 0.0, out.span(), scratch);
+  EXPECT_EQ(max_abs(out), 0.0);
+  out.fill(1.0);
+  solve_rank_one_qp_capped_into(qp, 0.0, out.span(), scratch);
+  EXPECT_EQ(max_abs(out), 0.0);
+}
+
+TEST(RankOneQpClosedForm, CapExactlyAtTheUnconstrainedSum) {
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    RankOneQp qp = random_qp(rng, 8);
+    for (std::size_t i = 0; i < 8; ++i) qp.linear[i] -= 5.0;  // mass > 0
+    const Vec free = solve_rank_one_qp_capped(qp, 1e6);
+    const double cap = sum(free);
+    ASSERT_GT(cap, 0.0);
+    expect_matches_reference(qp, cap, true);
+    EXPECT_LE(max_abs_diff(solve_rank_one_qp_capped(qp, cap), free),
+              1e-9 * std::max(1.0, cap));
+  }
+}
+
+TEST(RankOneQpClosedForm, OptimumOnAnActiveSetBreakpoint) {
+  // Solve on three coordinates, then add a fourth whose threshold equals the
+  // optimal theta exactly: it sits on the breakpoint with x_4 = 0, and the
+  // solution of the other three is unchanged.
+  //
+  // The reference's sorted threshold scan can reject every support size
+  // when theta meets a threshold to the last ulp, and its fallback then
+  // loses the sum; that happens here, so the reference is compared only
+  // where its answer is feasible. The constructed answer is the oracle.
+  Rng rng(21);
+  int compared = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    RankOneQp base = random_qp(rng, 3);
+    for (std::size_t i = 0; i < 3; ++i)
+      base.linear[i] = -std::abs(base.linear[i]);
+    const double total = rng.uniform(0.5, 5.0);
+    const Vec x3 = solve_rank_one_qp_simplex(base, total);
+    const double s = dot(base.direction, x3);
+    const std::size_t top = static_cast<std::size_t>(
+        std::max_element(x3.begin(), x3.end()) - x3.begin());
+    const double theta = base.linear[top] +
+                         base.curvature * s * base.direction[top] +
+                         base.tikhonov * x3[top];
+    RankOneQp qp;
+    qp.curvature = base.curvature;
+    qp.tikhonov = base.tikhonov;
+    const double v4 = rng.uniform(0.0, 0.1);
+    qp.direction = Vec{base.direction[0], base.direction[1],
+                       base.direction[2], v4};
+    qp.linear = Vec{base.linear[0], base.linear[1], base.linear[2],
+                    theta - base.curvature * s * v4};
+    const Vec x4 = solve_rank_one_qp_simplex(qp, total);
+    EXPECT_NEAR(x4[3], 0.0, 1e-9 * total);
+    for (std::size_t i = 0; i < 3; ++i)
+      EXPECT_NEAR(x4[i], x3[i], 1e-9 * total);
+    EXPECT_NEAR(sum(x4), total, 1e-12 * total);
+    expect_kkt(qp, x4, /*capped=*/false, total);
+    const Vec r = solve_rank_one_qp_simplex_reference(qp, total);
+    if (std::abs(sum(r) - total) > 1e-9 * total) continue;
+    ++compared;
+    expect_matches_reference(qp, total, false);
+  }
+  EXPECT_GE(compared, 15);
+}
+
+TEST(RankOneQpClosedForm, PaperShapedLatencyRowsOnTheSimplex) {
+  // lambda block at M = 10, N = 4: c = 2 w / A, v = latencies in seconds,
+  // g = -varphi - rho a, total = A.
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double arrival = rng.uniform(100.0, 12000.0);
+    const double rho = 0.3;
+    RankOneQp qp;
+    qp.curvature = 2.0 * 10.0 / arrival;
+    qp.tikhonov = rho;
+    qp.direction = Vec(4);
+    qp.linear = Vec(4);
+    for (std::size_t j = 0; j < 4; ++j) {
+      qp.direction[j] = rng.uniform(0.005, 0.06);
+      qp.linear[j] = -rng.uniform(-5.0, 5.0) -
+                     rho * rng.uniform(0.0, arrival / 2.0);
+    }
+    expect_matches_reference(qp, arrival, false);
+  }
+}
+
+TEST(RankOneQpClosedForm, PaperShapedOnesColumnsCapped) {
+  // a block at M = 10: v = 1, c = rho beta^2, cap = S_j servers.
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double rho = 0.3;
+    const double beta = rng.uniform(1e-4, 3e-4);
+    RankOneQp qp;
+    qp.curvature = rho * beta * beta;
+    qp.tikhonov = rho;
+    qp.direction = Vec(10, 1.0);
+    qp.linear = Vec(10);
+    const double shift = rng.uniform(-2.0, 2.0);
+    for (std::size_t i = 0; i < 10; ++i)
+      qp.linear[i] = rng.uniform(-30.0, 30.0) + rho * beta * shift -
+                     rho * rng.uniform(0.0, 3000.0);
+    const double cap = rng.uniform(1.7e4, 2.3e4) *
+                       (trial % 3 == 0 ? 0.01 : 1.0);  // some caps bind
+    expect_matches_reference(qp, cap, true);
+  }
+}
+
+TEST(RankOneQpClosedForm, TinyTotalKeepsItsSum) {
+  // Regression: thresholds near 1000 used to swallow rho * total, returning
+  // x = 0 for total = 1e-14 and a sum 14% off for total = 1e-12.
+  for (double curvature : {0.0, 5.0}) {
+    for (double total : {1e-14, 1e-12}) {
+      RankOneQp qp;
+      qp.curvature = curvature;
+      qp.tikhonov = 0.3;
+      qp.direction = Vec{0.01, 0.02, 0.03};
+      qp.linear = Vec{1000.0, 1001.0, 1002.0};
+      const Vec x = solve_rank_one_qp_simplex(qp, total);
+      EXPECT_NEAR(sum(x), total, 1e-12 * total)
+          << "c = " << curvature << ", total = " << total;
+      for (double e : x) EXPECT_GE(e, 0.0);
+    }
+  }
+}
+
+TEST(RankOneQpClosedForm, StiffCouplingKeepsItsSum) {
+  // One active coordinate with c v^2 total far above rho total: x = total.
+  // Forming theta = rho total + c v^2 total and subtracting c s v again
+  // would leave only the rounding of c v^2 total (a 3e-5 relative error).
+  RankOneQp qp;
+  qp.curvature = 1e6;
+  qp.tikhonov = 2.5e-4;
+  qp.direction = Vec{6.7, 0.03};
+  qp.linear = Vec{-100.0, 0.0};
+  const double total = 1e-6;
+  const Vec x = solve_rank_one_qp_simplex(qp, total);
+  EXPECT_NEAR(x[0], total, 1e-12 * total);
+  EXPECT_EQ(x[1], 0.0);
+}
+
+TEST(RankOneQpClosedForm, FindsAPieceNarrowerThanAnyFixedTolerance) {
+  // A stiff problem from randomized stress (c = 8.3e4, rho = 1.2e-4,
+  // total = 1.7e-7). The optimum has coordinates 12 and 13 active, but that
+  // active set holds only on an s-interval about 2e-16 wide, so a search
+  // that stops at a fixed 1e-15 bracket never probes it and settles 37% off
+  // (the reference bisection is 3% off). The expected values come from an
+  // exact rational solve of the KKT system.
+  RankOneQp qp;
+  qp.curvature = 0x1.445a646fdc9f7p+16;
+  qp.tikhonov = 0x1.023a1287af41ap-13;
+  qp.linear = Vec{-0x1.3797782f3d19ep-4, 0x1.62f9a2369b16cp-2,
+                  -0x1.d1e1a7e83cddfp-2, -0x1.dc50ac8b1be9ap-2,
+                  0x1.73dd1170bf4b4p-3, -0x1.c5b311b7bdea4p-2,
+                  0x1.3636cb3983d73p-2, 0x1.95a9eb4f429b1p-8,
+                  -0x1.9dd50cfa7d31fp-2, 0x1.e75531684ec99p-2,
+                  0x1.0f87088738cb6p-2, 0x1.834e699585242p-2,
+                  -0x1.287c9a8a4fbf4p-1, -0x1.280b618f80507p-1};
+  qp.direction = Vec{0.0, 0x1.3e250261ac22dp-9, 0x1.49566b1dc9ae3p-5,
+                     0x1.274d52c81e537p+0, 0.0, 0x1.d0160b33a7b8ep-10,
+                     0x1.6ba3c75ee6293p-11, 0x1.7aef4addbb0efp-10, 0.0,
+                     0x1.16935a84981eap-9, 0x1.5b456ad3c3f2dp-7, 0.0,
+                     0x1.468afa8916f92p+0, 0x1.2cf9fbda9c536p-8};
+  const double total = 0x1.7307ed9a54ad2p-23;
+  const Vec x = solve_rank_one_qp_simplex(qp, total);
+  // Inputs of size 0.5 carry rounding of ~1e-16, which rho total = 2e-11
+  // turns into a few 1e-6 relative.
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(x[i], 0.0) << i;
+  EXPECT_NEAR(x[12], 5.815864273735914e-09, 1e-5 * total);
+  EXPECT_NEAR(x[13], 1.6695889451308319e-07, 1e-5 * total);
+  EXPECT_NEAR(sum(x), total, 1e-5 * total);
+}
+
+TEST(RankOneQpClosedForm, IntoMatchesWrapperWithoutReallocating) {
+  Rng rng(51);
+  RankOneQpScratch scratch;
+  Vec out(12);
+  const RankOneQp warm = random_qp(rng, 12);
+  solve_rank_one_qp_capped_into(warm, 3.0, out.span(), scratch);
+  solve_rank_one_qp_simplex_into(warm, 3.0, out.span(), scratch);
+  const double* thresholds = scratch.thresholds.data();
+  const double* selection = scratch.selection.data();
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const RankOneQp qp = random_qp(rng, n);
+    const double bound = rng.uniform(0.1, 5.0);
+    Vec x(n);
+    solve_rank_one_qp_simplex_into(qp, bound, x.span(), scratch);
+    EXPECT_EQ(x.raw(), solve_rank_one_qp_simplex(qp, bound).raw());
+    solve_rank_one_qp_capped_into(qp, bound, x.span(), scratch);
+    EXPECT_EQ(x.raw(), solve_rank_one_qp_capped(qp, bound).raw());
+    EXPECT_EQ(scratch.thresholds.data(), thresholds);
+    EXPECT_EQ(scratch.selection.data(), selection);
+  }
+}
+
 TEST(RankOneQp, InvalidInputsThrow) {
   RankOneQp qp;
   qp.direction = Vec{1.0};
@@ -168,6 +504,14 @@ TEST(RankOneQp, InvalidInputsThrow) {
   EXPECT_THROW(solve_rank_one_qp_capped(qp, 1.0), ContractViolation);
   qp.direction = Vec{1.0};
   EXPECT_THROW(solve_rank_one_qp_simplex(qp, -1.0), ContractViolation);
+  RankOneQpScratch scratch;
+  Vec wrong_size(2);
+  EXPECT_THROW(solve_rank_one_qp_simplex_into(qp, 1.0, wrong_size.span(),
+                                              scratch),
+               ContractViolation);
+  EXPECT_THROW(solve_rank_one_qp_capped_into(qp, 1.0, wrong_size.span(),
+                                             scratch),
+               ContractViolation);
 }
 
 }  // namespace
