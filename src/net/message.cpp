@@ -49,13 +49,17 @@ std::size_t wire_size(const Message& message) {
 std::vector<std::byte> serialize(const Message& message) {
   std::vector<std::byte> out;
   out.reserve(wire_size(message));
+  append_serialized(out, message);
+  return out;
+}
+
+void append_serialized(std::vector<std::byte>& out, const Message& message) {
   wire::append(out, message.source);
   wire::append(out, message.destination);
   wire::append(out, static_cast<std::uint8_t>(message.type));
   wire::append(out, message.iteration);
   wire::append(out, static_cast<std::uint32_t>(message.payload.size()));
   wire::append_f64s(out, message.payload);
-  return out;
 }
 
 // Hardened against arbitrary (truncated, mutated, adversarial) byte strings:

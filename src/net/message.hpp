@@ -59,6 +59,10 @@ std::size_t wire_size(const Message& message);
 /// Length-prefixed little-endian encoding.
 std::vector<std::byte> serialize(const Message& message);
 
+/// Appends the serialize() bytes of `message` to `out` (wire_size(message)
+/// bytes), so a sender can encode straight into its own buffer.
+void append_serialized(std::vector<std::byte>& out, const Message& message);
+
 /// Inverse of serialize. Throws ContractViolation on malformed input.
 Message deserialize(std::span<const std::byte> bytes);
 

@@ -100,6 +100,22 @@ int dial_endpoint(const SocketEndpoint& endpoint, int deadline_ms) {
   return fd;
 }
 
+/// Appends [u32 kind][u32 body length]; the caller appends the body.
+void append_frame_header(std::vector<std::byte>& out, FrameKind kind,
+                         std::size_t body_size) {
+  const auto raw = static_cast<std::uint32_t>(kind);
+  UFC_EXPECTS(raw >= 1 && raw <= 4);
+  UFC_EXPECTS(body_size <= kMaxFrameBytes);
+  wire::append(out, raw);
+  wire::append(out, static_cast<std::uint32_t>(body_size));
+}
+
+void append_frame(std::vector<std::byte>& out, FrameKind kind,
+                  std::span<const std::byte> body) {
+  append_frame_header(out, kind, body.size());
+  out.insert(out.end(), body.begin(), body.end());
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -107,25 +123,31 @@ int dial_endpoint(const SocketEndpoint& endpoint, int deadline_ms) {
 
 std::vector<std::byte> encode_frame(FrameKind kind,
                                     std::span<const std::byte> body) {
-  const auto raw = static_cast<std::uint32_t>(kind);
-  UFC_EXPECTS(raw >= 1 && raw <= 4);
-  UFC_EXPECTS(body.size() <= kMaxFrameBytes);
   std::vector<std::byte> out;
-  out.reserve(2 * sizeof(std::uint32_t) + body.size());
-  wire::append(out, raw);
-  wire::append(out, static_cast<std::uint32_t>(body.size()));
-  out.insert(out.end(), body.begin(), body.end());
+  out.reserve(kFrameHeaderBytes + body.size());
+  append_frame(out, kind, body);
   return out;
 }
 
 void FrameReader::feed(std::span<const std::byte> bytes) {
   UFC_EXPECTS(bytes.data() != nullptr || bytes.empty());
+  // Drop the consumed prefix here rather than in next(), so the bodies
+  // next() returned stay valid until this call. Usually every frame was
+  // consumed and the buffer simply empties; otherwise compact once the dead
+  // prefix dominates, so a long-lived stream does not grow without bound.
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ >= 65536 && consumed_ * 2 >= buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
 }
 
 std::optional<Frame> FrameReader::next() {
-  constexpr std::size_t kHeader = 2 * sizeof(std::uint32_t);
-  if (buffered() < kHeader) return std::nullopt;
+  if (buffered() < kFrameHeaderBytes) return std::nullopt;
   std::size_t offset = consumed_;
   const auto kind = wire::read<std::uint32_t>(buffer_, offset);
   const auto length = wire::read<std::uint32_t>(buffer_, offset);
@@ -133,20 +155,10 @@ std::optional<Frame> FrameReader::next() {
   // declared length is rejected before the body is allocated or awaited.
   UFC_EXPECTS(kind >= 1 && kind <= 4);
   UFC_EXPECTS(length <= kMaxFrameBytes);
-  if (buffered() < kHeader + length) return std::nullopt;
-  Frame frame;
-  frame.kind = static_cast<FrameKind>(kind);
-  frame.body.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(offset + length));
+  if (buffered() < kFrameHeaderBytes + length) return std::nullopt;
   consumed_ = offset + length;
-  // Compact once the dead prefix dominates, so a long-lived stream does not
-  // grow the buffer without bound.
-  if (consumed_ >= 65536 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  return frame;
+  return Frame{static_cast<FrameKind>(kind),
+               std::span<const std::byte>(buffer_).subspan(offset, length)};
 }
 
 std::vector<std::byte> encode_hello_body(std::uint32_t worker_index,
@@ -228,14 +240,21 @@ struct SocketBus::Peer {
   std::uint32_t worker_index = 0;
   bool hello_done = false;
   bool alive = true;
-  /// Re-entrancy guard: a blocked write_all drains inbound frames, and a
-  /// drained frame may ask to forward onto a peer that is itself mid-frame.
-  /// Interleaving bytes into a half-written frame would corrupt the stream,
-  /// so a nested write to a busy peer fails instead (a delivery failure the
-  /// degraded protocol absorbs).
-  bool writing = false;
   FrameReader reader;
   std::vector<NodeId> nodes;
+  /// Frames queued for this stream, written by the next flush() with one
+  /// write_all.
+  std::vector<std::byte> outbox;
+  /// One entry per message frame in `outbox`: the link it was counted on,
+  /// or nullptr for a message counted in the total only (hub forwards,
+  /// Metrics). Control frames (Hello, Shutdown) have no entry.
+  std::vector<LinkStats*> outbox_messages;
+  /// The batch flush() is writing, swapped out of `outbox` so that a drain
+  /// during a blocked write can queue new frames (a hub forward to this
+  /// very peer) without touching the bytes being written. Kept between
+  /// flushes for its capacity.
+  std::vector<std::byte> in_flight;
+  std::vector<LinkStats*> in_flight_messages;
 };
 
 SocketBus::SocketBus(SocketBusConfig config) : config_(std::move(config)) {
@@ -358,17 +377,25 @@ SendOutcome SocketBus::send(Message message) {
     return SendOutcome::Failed;
   }
 
-  const auto frame = encode_frame(FrameKind::Data, serialize(message));
-  link.bytes += frame.size();
-  total_.bytes += frame.size();
-  if (!write_all(*peer, frame, config_.io_timeout_ms)) {
-    ++link.delivery_failures;
-    ++total_.delivery_failures;
-    return SendOutcome::Failed;
-  }
+  // Encode straight into the outbox; the next flush writes it. Counted as
+  // delivered now; fail_queued() moves it to delivery_failures if that
+  // write fails.
+  const std::size_t body_size = wire_size(message);
+  append_frame_header(peer->outbox, FrameKind::Data, body_size);
+  append_serialized(peer->outbox, message);
+  peer->outbox_messages.push_back(&link);
+  link.bytes += kFrameHeaderBytes + body_size;
+  total_.bytes += kFrameHeaderBytes + body_size;
   ++link.messages;
   ++total_.messages;
   return SendOutcome::Delivered;
+}
+
+LinkStats SocketBus::link(NodeId source, NodeId destination) const {
+  UFC_EXPECTS(source >= kCoordinatorId);
+  UFC_EXPECTS(destination >= kCoordinatorId);
+  const auto it = links_.find({source, destination});
+  return it == links_.end() ? LinkStats{} : it->second;
 }
 
 std::optional<Message> SocketBus::receive(NodeId destination) {
@@ -430,6 +457,21 @@ void SocketBus::mark_dead(Peer& peer) {
     newly_disconnected_.push_back(node);
     node_owner_.erase(node);
   }
+  // The batch being written (in_flight) is failed by flush() itself.
+  peer.outbox.clear();
+  fail_queued(peer.outbox_messages);
+}
+
+void SocketBus::fail_queued(std::vector<LinkStats*>& queued) {
+  for (LinkStats* link : queued) {
+    if (link != nullptr) {
+      --link->messages;
+      ++link->delivery_failures;
+    }
+    --total_.messages;
+    ++total_.delivery_failures;
+  }
+  queued.clear();
 }
 
 std::vector<NodeId> SocketBus::take_newly_disconnected() {
@@ -441,8 +483,7 @@ std::vector<NodeId> SocketBus::take_newly_disconnected() {
 
 bool SocketBus::write_all(Peer& peer, std::span<const std::byte> bytes,
                           int deadline_ms) {
-  if (!peer.alive || peer.writing) return false;
-  peer.writing = true;
+  if (!peer.alive) return false;
   const IoDeadline deadline(deadline_ms);
   std::size_t written = 0;
   bool ok = true;
@@ -460,7 +501,8 @@ bool SocketBus::write_all(Peer& peer, std::span<const std::byte> bytes,
       // sides: neither reads, so neither buffer ever drains. Wait for
       // writability OR readability and drain inbound bytes while blocked —
       // the read is what frees the peer's send buffer and unsticks the
-      // cycle.
+      // cycle. What the drain queues lands in the outbox, never in
+      // `bytes`.
       pollfd pfd{peer.fd, POLLIN | POLLOUT, 0};
       const int rc = ::poll(&pfd, 1, deadline.remaining_ms());
       if (rc < 0 && errno == EINTR && !deadline.expired()) continue;
@@ -486,11 +528,40 @@ bool SocketBus::write_all(Peer& peer, std::span<const std::byte> bytes,
     ok = false;
     break;
   }
-  peer.writing = false;
   return ok;
 }
 
-void SocketBus::dispatch(Peer& peer, Frame frame) {
+bool SocketBus::flush(Peer& peer, int deadline_ms) {
+  const IoDeadline deadline(deadline_ms);
+  bool ok = true;
+  while (peer.alive && !peer.outbox.empty()) {
+    // Both in_flight vectors are empty here, so the outbox starts afresh.
+    peer.in_flight.swap(peer.outbox);
+    peer.in_flight_messages.swap(peer.outbox_messages);
+    if (!write_all(peer, peer.in_flight, deadline.remaining_ms())) {
+      fail_queued(peer.in_flight_messages);
+      ok = false;
+    }
+    peer.in_flight.clear();
+    peer.in_flight_messages.clear();
+  }
+  return ok;
+}
+
+void SocketBus::flush_all(int deadline_ms) {
+  const IoDeadline deadline(deadline_ms);
+  bool wrote = true;
+  while (wrote) {
+    wrote = false;
+    for (auto& peer : peers_) {
+      if (!peer->alive || peer->outbox.empty()) continue;
+      (void)flush(*peer, deadline.remaining_ms());
+      wrote = true;
+    }
+  }
+}
+
+void SocketBus::dispatch(Peer& peer, const Frame& frame) {
   switch (frame.kind) {
     case FrameKind::Hello: {
       UFC_EXPECTS(config_.hub);
@@ -524,12 +595,10 @@ void SocketBus::dispatch(Peer& peer, Frame frame) {
         ++total_.delivery_failures;
         return;
       }
-      const auto forwarded = encode_frame(FrameKind::Data, frame.body);
-      total_.bytes += forwarded.size();
-      if (write_all(*target, forwarded, config_.io_timeout_ms))
-        ++total_.messages;
-      else
-        ++total_.delivery_failures;
+      append_frame(target->outbox, FrameKind::Data, frame.body);
+      target->outbox_messages.push_back(nullptr);
+      total_.bytes += kFrameHeaderBytes + frame.body.size();
+      ++total_.messages;
       return;
     }
     case FrameKind::Metrics: {
@@ -557,7 +626,7 @@ std::size_t SocketBus::drain_fd(Peer& peer) {
     if (n > 0) {
       peer.reader.feed({chunk.data(), static_cast<std::size_t>(n)});
       while (auto frame = peer.reader.next()) {
-        dispatch(peer, std::move(*frame));
+        dispatch(peer, *frame);
         ++dispatched;
       }
       if (static_cast<std::size_t>(n) < chunk.size()) break;
@@ -597,6 +666,12 @@ bool SocketBus::pump(int deadline_ms) {
   std::size_t dispatched = 0;
   bool first_wait = true;
   while (true) {
+    // Before every poll, so this process never waits holding unsent bytes
+    // and what a drain below queued is written before pump returns. A peer
+    // death the write discovers is news, like an EOF read: stop waiting.
+    const std::size_t disconnected = newly_disconnected_.size();
+    flush_all(config_.io_timeout_ms);
+    if (newly_disconnected_.size() != disconnected) first_wait = false;
     std::vector<pollfd> fds;
     std::vector<Peer*> fd_peers;
     if (listen_fd_ >= 0) {
@@ -655,12 +730,12 @@ std::size_t SocketBus::wait_for_workers(std::size_t count, int deadline_ms) {
 
 void SocketBus::send_shutdown(int deadline_ms) {
   UFC_EXPECTS(config_.hub);
-  const auto frame = encode_frame(FrameKind::Shutdown, {});
   for (auto& peer : peers_) {
     if (!peer->alive || !peer->hello_done) continue;
-    total_.bytes += frame.size();
-    (void)write_all(*peer, frame, deadline_ms);
+    append_frame_header(peer->outbox, FrameKind::Shutdown, 0);
+    total_.bytes += kFrameHeaderBytes;
   }
+  flush_all(deadline_ms);
 }
 
 std::vector<SocketBus::WorkerMetrics> SocketBus::take_worker_metrics() {
@@ -694,13 +769,12 @@ bool SocketBus::connect_to_hub(int deadline_ms) {
     if (fd >= 0) {
       auto peer = std::make_unique<Peer>();
       peer->fd = fd;
+      const auto hello =
+          encode_hello_body(config_.worker_index, config_.local_nodes);
+      append_frame(peer->outbox, FrameKind::Hello, hello);
+      total_.bytes += kFrameHeaderBytes + hello.size();
       peers_.push_back(std::move(peer));
-      const auto hello = encode_frame(
-          FrameKind::Hello,
-          encode_hello_body(config_.worker_index, config_.local_nodes));
-      total_.bytes += hello.size();
-      if (write_all(*peers_.front(), hello, config_.io_timeout_ms))
-        return true;
+      if (flush(*peers_.front(), config_.io_timeout_ms)) return true;
       peers_.clear();
     }
     ++total_.retransmissions;
@@ -721,13 +795,14 @@ SendOutcome SocketBus::send_metrics(
   UFC_EXPECTS(!config_.hub);
   if (!hub_connected() && !connect_to_hub(config_.connect_timeout_ms))
     return SendOutcome::Failed;
-  const auto frame =
-      encode_frame(FrameKind::Metrics, encode_metrics_body(counters, gauges));
-  total_.bytes += frame.size();
-  if (!write_all(*peers_.front(), frame, deadline_ms))
-    return SendOutcome::Failed;
+  Peer& hub = *peers_.front();
+  const auto body = encode_metrics_body(counters, gauges);
+  append_frame(hub.outbox, FrameKind::Metrics, body);
+  hub.outbox_messages.push_back(nullptr);
+  total_.bytes += kFrameHeaderBytes + body.size();
   ++total_.messages;
-  return SendOutcome::Delivered;
+  return flush(hub, deadline_ms) ? SendOutcome::Delivered
+                                 : SendOutcome::Failed;
 }
 
 }  // namespace ufc::net

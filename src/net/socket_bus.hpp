@@ -21,8 +21,14 @@
 //  * Peer death (EOF, ECONNRESET) is detected on the next pump and reported
 //    through take_newly_disconnected(), feeding the coordinator's health
 //    table and the graceful-degradation path.
+//  * Sends are batched: a remote send() appends its frame to the peer's
+//    outbox, and every call that can wait (pump, and so poll_pending and
+//    wait_for_workers; send_shutdown; send_metrics) first writes each
+//    outbox with one write. A process never waits while holding unsent
+//    bytes, and each stream stays FIFO.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -42,18 +48,21 @@
 namespace ufc::net {
 
 /// Monotonic deadline for socket waits, on the repo's sanctioned clock seam
-/// (util/clock.hpp). remaining_ms() counts down from the budget and clamps
-/// at 0; a budget of 0 means "check once, never wait".
+/// (util/clock.hpp). remaining_ms() counts down from the budget, rounding
+/// up, and clamps at 0; a budget of 0 means "check once, never wait".
 class IoDeadline {
  public:
   explicit IoDeadline(int budget_ms)
       : start_(util::monotonic_now()), budget_ms_(budget_ms < 0 ? 0 : budget_ms) {}
 
+  /// Whole milliseconds left, rounded up: any time left reads at least 1,
+  /// so the last fraction of a millisecond is a real poll() wait, not a
+  /// poll(..., 0) spin, and IoDeadline(1) is not expired at construction.
   int remaining_ms() const {
     const double elapsed_ms =
         util::seconds_between(start_, util::monotonic_now()) * 1000.0;
     const double left = static_cast<double>(budget_ms_) - elapsed_ms;
-    return left <= 0.0 ? 0 : static_cast<int>(left);
+    return left <= 0.0 ? 0 : static_cast<int>(std::ceil(left));
   }
   bool expired() const { return remaining_ms() == 0; }
 
@@ -81,9 +90,14 @@ enum class FrameKind : std::uint32_t {
 /// StateSync for thousands of front-ends) stays far below it.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
 
+/// The outer header: [u32 kind][u32 body length].
+inline constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
+
+/// One parsed frame. `body` views the FrameReader's buffer: it stays valid
+/// until the next feed() on that reader.
 struct Frame {
   FrameKind kind = FrameKind::Data;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
 };
 
 /// [u32 kind][u32 body length][body]. Contract-checks the body size.
@@ -100,10 +114,12 @@ class FrameReader {
  public:
   /// Appends raw stream bytes (contract-checks the span: null data with a
   /// nonzero size is rejected). Never parses, so valid input never throws.
+  /// Invalidates the bodies of frames returned so far.
   void feed(std::span<const std::byte> bytes);
 
   /// Returns the next complete frame, or std::nullopt if the buffered bytes
-  /// end mid-frame. Throws ContractViolation on a malformed header.
+  /// end mid-frame. Throws ContractViolation on a malformed header. The
+  /// frame's body is a view into the buffer, not a copy.
   std::optional<Frame> next();
 
   /// Bytes buffered but not yet returned as frames.
@@ -190,9 +206,13 @@ class SocketBus final : public Transport {
   // Transport contract -----------------------------------------------------
   void begin_round(int round) override;
   int current_round() const override { return round_; }
-  /// Local destination: enqueues directly. Remote: frames and writes to the
-  /// peer stream, connecting first if needed. Deadline-bounded; exhaustion
-  /// of max_attempts (connect) or io_timeout_ms (write) returns Failed.
+  /// Local destination: enqueues directly. Remote: encodes the frame into
+  /// the peer's outbox (connecting first if needed) and returns Delivered
+  /// without writing; the next pump, poll or shutdown writes each outbox
+  /// with one write. Failed when no live peer hosts the destination or
+  /// max_attempts connects are exhausted. A later write failure (peer
+  /// death, io_timeout_ms) moves each queued message from `messages` to
+  /// `delivery_failures`, on its link and in the total.
   SendOutcome send(Message message) override;
   std::optional<Message> receive(NodeId destination) override;
   std::vector<Message> drain(NodeId destination) override;
@@ -200,15 +220,22 @@ class SocketBus final : public Transport {
   /// Pumps the wire until a message for `destination` is queued or the
   /// deadline elapses, then returns pending(destination).
   std::size_t poll_pending(NodeId destination, int deadline_ms) override;
+  /// Drops the local receive queues. Outboxes are kept: a queued frame is
+  /// committed to its stream, as a written one is.
   void clear_queues() override;
   const LinkStats& total() const override { return total_; }
+  /// Stats for the (source, destination) link as counted by this process's
+  /// send(); zeros if never used. Hub forwards count in total() only.
+  LinkStats link(NodeId source, NodeId destination) const;
 
   // Wire pumping -----------------------------------------------------------
-  /// Reads everything available on every stream (accepting new connections
-  /// on the hub), waiting at most `deadline_ms` for the FIRST readable fd;
-  /// once bytes flow it drains without further waiting. Returns true if at
-  /// least one frame was dispatched. This is the single place where the OS
-  /// is read; receive()/drain() only look at local queues.
+  /// Writes every outbox, then reads everything available on every stream
+  /// (accepting new connections on the hub), waiting at most `deadline_ms`
+  /// for the FIRST readable fd; once bytes flow it drains without further
+  /// waiting, writing what the drain queued (hub forwards) before it
+  /// returns. Returns true if at least one frame was dispatched. This is
+  /// the single place where the OS is read; receive()/drain() only look at
+  /// local queues.
   bool pump(int deadline_ms);
 
   /// Highest message iteration currently queued for `destination`
@@ -225,7 +252,8 @@ class SocketBus final : public Transport {
   /// the deadline elapses; returns the number connected.
   std::size_t wait_for_workers(std::size_t count, int deadline_ms);
   std::size_t connected_workers() const;
-  /// Broadcasts a Shutdown frame to every live worker.
+  /// Broadcasts a Shutdown frame to every live worker, behind whatever is
+  /// still queued for it, and writes every outbox.
   void send_shutdown(int deadline_ms);
   struct WorkerMetrics {
     std::uint32_t worker_index = 0;
@@ -246,7 +274,8 @@ class SocketBus final : public Transport {
   /// true while the stream to the hub is up (a worker whose hub vanished
   /// has nothing left to do but exit).
   bool hub_connected() const;
-  /// Sends a Metrics frame to the hub (the worker's shutdown reply).
+  /// Sends a Metrics frame to the hub (the worker's shutdown reply), behind
+  /// whatever is still queued, and writes the outbox before returning.
   SendOutcome send_metrics(const std::map<std::string, std::uint64_t>& counters,
                            const std::map<std::string, double>& gauges,
                            int deadline_ms);
@@ -260,15 +289,26 @@ class SocketBus final : public Transport {
   struct Peer;  // One accepted worker stream (hub) or the hub stream (worker).
 
   bool is_local(NodeId node) const;
-  /// Routes one decoded frame from `peer`; queues or forwards Data frames.
-  void dispatch(Peer& peer, Frame frame);
-  /// Marks the peer dead and records its nodes as newly disconnected.
+  /// Routes one decoded frame from `peer`; queues Data frames locally or,
+  /// on the hub, appends them to the target peer's outbox.
+  void dispatch(Peer& peer, const Frame& frame);
+  /// Marks the peer dead, records its nodes as newly disconnected and
+  /// counts every message still in its outbox as a delivery failure.
   void mark_dead(Peer& peer);
+  /// Moves each queued message from `messages` to `delivery_failures`, on
+  /// its link (if it has one) and in the total; clears `queued`.
+  void fail_queued(std::vector<LinkStats*>& queued);
   /// Reads until EAGAIN on one stream; returns frames dispatched.
   std::size_t drain_fd(Peer& peer);
   /// Deadline-bounded blocking write of a fully framed buffer.
   bool write_all(Peer& peer, std::span<const std::byte> bytes,
                  int deadline_ms);
+  /// Writes `peer`'s outbox until it stays empty (a drain during a blocked
+  /// write may queue more). Returns false if any batch failed; its messages
+  /// are then counted as delivery failures.
+  bool flush(Peer& peer, int deadline_ms);
+  /// flush() on every live peer until no outbox holds bytes.
+  void flush_all(int deadline_ms);
   Peer* peer_for(NodeId destination);
   void accept_ready();
 

@@ -236,11 +236,16 @@ SupervisedReport Supervisor::run_impl(std::span<const std::byte> checkpoint) {
   // Coordinator runtime, with every datacenter hosted remotely. Observer
   // chain: the kill/checkpoint injector wraps whatever the caller set, and
   // must be installed before construction (the runtime copies its options).
+  // It is installed only when it has a job: an attached observer makes the
+  // engine sample (an objective evaluation) every round.
   SupervisorObserver observer(options_.distributed.admg.observer,
                               options_.kill_at_round,
                               options_.checkpoint_at_round);
+  const bool observe = options_.kill_at_round >= 0 ||
+                       options_.checkpoint_at_round >= 0 ||
+                       options_.distributed.admg.observer != nullptr;
   DistributedOptions dist = options_.distributed;
-  dist.admg.observer = &observer;
+  if (observe) dist.admg.observer = &observer;
   dist.remote.socket = &hub;
   dist.remote.round_deadline_ms = options_.round_deadline_ms;
   dist.remote.remote_dcs.resize(n);

@@ -8,9 +8,12 @@
 //    locally and never wait for the network. Waiting is explicit and
 //    deadline-bounded through poll_pending() — no Transport call may block
 //    forever.
-//  * send() is synchronous and returns a SendOutcome. Failed means the
-//    transport exhausted its per-message attempt budget (loss, partition or
-//    a crashed/unreachable peer); the degraded protocol absorbs the gap.
+//  * send() returns a SendOutcome. Failed means the transport exhausted
+//    its per-message attempt budget (loss, partition or a crashed or
+//    unreachable peer); the degraded protocol absorbs the gap. On the
+//    socket bus, Delivered to a remote node means queued for the peer: the
+//    next pump, poll or shutdown writes it, and a write failure is counted
+//    per queued message (moved from messages to delivery_failures).
 //  * begin_round() advances the transport's protocol clock. The in-process
 //    bus uses it to release delayed messages and evaluate fault windows;
 //    the socket bus stamps its backoff accounting with it.
@@ -31,7 +34,10 @@ namespace ufc::net {
 
 /// What became of one send() call.
 enum class SendOutcome {
-  Delivered,  ///< Enqueued at the destination (or handed to the OS stream).
+  /// Enqueued at the destination, or queued for the peer stream: written
+  /// by the next pump, poll or shutdown; a write failure is counted per
+  /// queued message.
+  Delivered,
   Delayed,    ///< In flight; released by a later begin_round().
   Corrupted,  ///< Transmitted but discarded by the receiver integrity check.
   Failed,     ///< Attempt cap exhausted (loss, partition or crashed peer).
@@ -46,8 +52,9 @@ class Transport {
   virtual int current_round() const = 0;
 
   /// Sends under the transport's delivery model. Never blocks forever: a
-  /// socket transport bounds every connect/write with a deadline and
-  /// surfaces exhaustion as SendOutcome::Failed.
+  /// socket transport bounds every connect with a deadline and surfaces
+  /// exhaustion as SendOutcome::Failed; it queues remote messages for the
+  /// peer and writes them, deadline-bounded, before it next waits.
   virtual SendOutcome send(Message message) = 0;
 
   /// Pops the next locally queued message for `destination`, FIFO per
@@ -64,7 +71,8 @@ class Transport {
   /// `deadline_ms` elapses, then returns pending(destination). This is the
   /// ONLY Transport call that may wait, and it is always deadline-bounded.
   /// The in-process bus returns immediately (simulated time does not pass
-  /// while the caller spins); the socket bus polls the wire.
+  /// while the caller spins); the socket bus writes what send() queued,
+  /// then polls the wire.
   virtual std::size_t poll_pending(NodeId destination, int deadline_ms) = 0;
 
   /// Drops every queued (and in-flight, where the transport can reach it)

@@ -6,10 +6,17 @@
 // is exactly the cross-process topology, and keeps the suite TSan-clean.
 // Environments without socket support skip gracefully.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <map>
 #include <optional>
 #include <span>
@@ -218,6 +225,56 @@ TEST(SocketFraming, EncodeFrameRejectsOversizedBody) {
   EXPECT_THROW(encode_frame(FrameKind::Data, body), ContractViolation);
 }
 
+TEST(SocketFraming, FrameBodiesViewTheBufferUntilTheNextFeed) {
+  // Two frames in one feed: both bodies stay readable side by side, and
+  // each deserializes to what was encoded.
+  std::vector<std::byte> stream = data_frame_bytes(3, 7);
+  const auto second = data_frame_bytes(5, 8);
+  stream.insert(stream.end(), second.begin(), second.end());
+  FrameReader reader;
+  reader.feed(stream);
+  const auto a = reader.next();
+  const auto b = reader.next();
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(deserialize(a->body).iteration, 7);
+  EXPECT_EQ(deserialize(b->body).iteration, 8);
+  EXPECT_EQ(deserialize(b->body).payload.size(), 5u);
+  // Fully consumed: the next feed starts a fresh buffer.
+  reader.feed(data_frame_bytes(1, 9));
+  const auto c = reader.next();
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(deserialize(c->body).iteration, 9);
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// IoDeadline.
+
+TEST(IoDeadline, ZeroBudgetChecksOnceAndNeverWaits) {
+  const IoDeadline zero(0);
+  EXPECT_TRUE(zero.expired());
+  EXPECT_EQ(zero.remaining_ms(), 0);
+  const IoDeadline negative(-5);
+  EXPECT_TRUE(negative.expired());
+  EXPECT_EQ(negative.remaining_ms(), 0);
+}
+
+TEST(IoDeadline, TimeLeftRoundsUpToWholeMilliseconds) {
+  // A fresh budget has used a fraction of a millisecond; truncating read
+  // IoDeadline(1) as expired at construction and turned the last fraction
+  // of every deadline into a poll(..., 0) spin.
+  const IoDeadline one(1);
+  EXPECT_FALSE(one.expired());
+  EXPECT_EQ(one.remaining_ms(), 1);
+  const IoDeadline minute(60000);
+  EXPECT_EQ(minute.remaining_ms(), 60000);
+  // It still expires once its time is up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  EXPECT_TRUE(one.expired());
+  EXPECT_EQ(one.remaining_ms(), 0);
+  EXPECT_LT(minute.remaining_ms(), 60000);
+}
+
 // ---------------------------------------------------------------------------
 // Live socket exchanges.
 
@@ -404,6 +461,209 @@ TEST(SocketBusLive, WorkerDeathSurfacesAsNewlyDisconnected) {
   }
   EXPECT_EQ(dead, std::vector<NodeId>{datacenter_id(0)});
   EXPECT_EQ(hub->connected_workers(), 0u);
+}
+
+TEST(SocketBusLive, RemoteSendWritesNothingUntilTheSenderPumps) {
+  SocketEndpoint endpoint;
+  endpoint.unix_path = unique_socket_path("batch");
+  auto hub = try_make_hub(endpoint);
+  if (!hub.has_value()) GTEST_SKIP() << "socket support unavailable";
+  constexpr std::int32_t kSends = 6;
+  std::promise<void> queued;
+  std::promise<void> checked;
+  std::size_t seen_before_pump = 0;
+  std::vector<std::int32_t> order;
+  std::thread worker([&endpoint, &queued, &checked, &seen_before_pump,
+                      &order] {
+    SocketBus bus(worker_config(endpoint));
+    EXPECT_TRUE(bus.connect_to_hub(4000));
+    (void)queued.get_future().wait_for(std::chrono::seconds(5));
+    // The hub has sent but not pumped: nothing may be on the wire yet.
+    seen_before_pump = bus.poll_pending(datacenter_id(0), 50);
+    checked.set_value();
+    const IoDeadline deadline(4000);
+    while (bus.pending(datacenter_id(0)) < kSends && !deadline.expired())
+      bus.pump(deadline.remaining_ms());
+    for (const Message& message : bus.drain(datacenter_id(0)))
+      order.push_back(message.iteration);
+  });
+
+  const std::size_t connected = hub->wait_for_workers(1, 4000);
+  for (std::int32_t k = 0; k < kSends; ++k)
+    EXPECT_EQ(hub->send(proposal_to(datacenter_id(0), k)),
+              SendOutcome::Delivered);
+  queued.set_value();
+  (void)checked.get_future().wait_for(std::chrono::seconds(5));
+  hub->pump(0);
+  worker.join();
+
+  EXPECT_EQ(connected, 1u);
+  EXPECT_EQ(seen_before_pump, 0u);
+  std::vector<std::int32_t> expected;
+  for (std::int32_t k = 0; k < kSends; ++k) expected.push_back(k);
+  EXPECT_EQ(order, expected);  // All of them, in FIFO order.
+  EXPECT_EQ(hub->total().messages, static_cast<std::uint64_t>(kSends));
+  EXPECT_EQ(hub->total().delivery_failures, 0u);
+}
+
+TEST(SocketBusLive, QueuedMessagesToADeadPeerCountAsDeliveryFailures) {
+  SocketEndpoint endpoint;
+  endpoint.unix_path = unique_socket_path("queued_death");
+  auto hub = try_make_hub(endpoint);
+  if (!hub.has_value()) GTEST_SKIP() << "socket support unavailable";
+  {
+    SocketBus bus(worker_config(endpoint));
+    ASSERT_TRUE(bus.connect_to_hub(4000));
+    ASSERT_EQ(hub->wait_for_workers(1, 4000), 1u);
+  }
+  // The worker is gone, but the hub has not noticed: the sends queue.
+  constexpr std::uint64_t kSends = 5;
+  for (std::uint64_t k = 0; k < kSends; ++k)
+    EXPECT_EQ(hub->send(proposal_to(datacenter_id(0), 0)),
+              SendOutcome::Delivered);
+  const NodeId from = front_end_id(0);
+  EXPECT_EQ(hub->link(from, datacenter_id(0)).messages, kSends);
+
+  const IoDeadline deadline(4000);
+  std::vector<NodeId> dead;
+  while (dead.empty() && !deadline.expired()) {
+    hub->pump(deadline.remaining_ms());
+    dead = hub->take_newly_disconnected();
+  }
+  EXPECT_EQ(dead, std::vector<NodeId>{datacenter_id(0)});
+  const LinkStats link = hub->link(from, datacenter_id(0));
+  EXPECT_EQ(link.messages + link.delivery_failures, kSends);
+  EXPECT_EQ(link.delivery_failures, kSends);  // None of them was read.
+  EXPECT_EQ(hub->total().messages + hub->total().delivery_failures, kSends);
+  EXPECT_EQ(hub->total().delivery_failures, kSends);
+}
+
+TEST(SocketBusLive, ForwardsQueuedForAWorkerThatDiesCountAsDeliveryFailures) {
+  SocketEndpoint endpoint;
+  endpoint.unix_path = unique_socket_path("forward_death");
+  auto hub = try_make_hub(endpoint);
+  if (!hub.has_value()) GTEST_SKIP() << "socket support unavailable";
+  SocketBus sender(worker_config(endpoint));
+  ASSERT_TRUE(sender.connect_to_hub(4000));
+  ASSERT_EQ(hub->wait_for_workers(1, 4000), 1u);
+  constexpr std::uint64_t kSends = 4;
+  {
+    SocketBusConfig config = worker_config(endpoint);
+    config.worker_index = 1;
+    config.local_nodes = {datacenter_id(1)};
+    SocketBus doomed(std::move(config));
+    ASSERT_TRUE(doomed.connect_to_hub(4000));
+    ASSERT_EQ(hub->wait_for_workers(2, 4000), 2u);
+    // Worker 0 writes its messages for worker 1's node before worker 1
+    // dies; the hub reads both streams in one pump and cannot forward.
+    for (std::uint64_t k = 0; k < kSends; ++k) {
+      Message message = proposal_to(datacenter_id(1), 0);
+      message.source = datacenter_id(0);
+      EXPECT_EQ(sender.send(message), SendOutcome::Delivered);
+    }
+    sender.pump(0);
+  }
+  const IoDeadline deadline(4000);
+  while (hub->connected_workers() > 1 && !deadline.expired())
+    hub->pump(deadline.remaining_ms());
+  hub->pump(50);  // Whatever of worker 0's frames is still unread.
+  EXPECT_EQ(hub->total().messages + hub->total().delivery_failures, kSends);
+  EXPECT_EQ(hub->total().delivery_failures, kSends);
+}
+
+/// A bare Unix stream client speaking the frame protocol by hand: a peer
+/// that, unlike SocketBus, can stop reading and send a frame addressed to
+/// its own node (which the hub forwards straight back to it). Receives
+/// time out after 5 s, so a broken hub fails the test instead of hanging.
+int dial_raw_client(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  timeval timeout{5, 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool write_raw(int fd, std::span<const std::byte> bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + written,
+                             bytes.size() - written, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+TEST(SocketBusLive, ForwardArrivingDuringABlockedWriteIsQueuedAndDelivered) {
+  SocketEndpoint endpoint;
+  endpoint.unix_path = unique_socket_path("blocked_forward");
+  SocketBusConfig config = hub_config(endpoint);
+  config.io_timeout_ms = 10000;
+  std::optional<SocketBus> hub;
+  try {
+    hub.emplace(std::move(config));
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "socket support unavailable";
+  }
+  // Far more than the socket buffers hold, so the hub's write blocks until
+  // the client reads.
+  constexpr std::int32_t kBig = 32;
+  constexpr std::int32_t kForwarded = 999;
+  std::promise<void> queued;
+  std::vector<std::int32_t> seen;
+  std::thread client([&endpoint, &queued, &seen] {
+    const int fd = dial_raw_client(endpoint.unix_path);
+    EXPECT_GE(fd, 0);
+    if (fd < 0) return;
+    const std::vector<NodeId> nodes = {datacenter_id(0)};
+    EXPECT_TRUE(write_raw(
+        fd, encode_frame(FrameKind::Hello, encode_hello_body(0, nodes))));
+    (void)queued.get_future().wait_for(std::chrono::seconds(5));
+    // Let the hub block on the full stream, then send a frame for this
+    // client's own node while it is blocked, and only then start reading.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Message message = proposal_to(datacenter_id(0), kForwarded);
+    EXPECT_TRUE(
+        write_raw(fd, encode_frame(FrameKind::Data, serialize(message))));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    FrameReader reader;
+    std::array<std::byte, 65536> chunk;
+    while (seen.size() < static_cast<std::size_t>(kBig) + 1) {
+      const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+      if (n <= 0) break;
+      reader.feed({chunk.data(), static_cast<std::size_t>(n)});
+      while (auto frame = reader.next())
+        if (frame->kind == FrameKind::Data)
+          seen.push_back(deserialize(frame->body).iteration);
+    }
+    ::close(fd);
+  });
+
+  const std::size_t connected = hub->wait_for_workers(1, 4000);
+  for (std::int32_t k = 0; k < kBig; ++k) {
+    Message message = proposal_to(datacenter_id(0), k);
+    message.payload.assign(16384, 0.5);  // 128 KiB per frame.
+    EXPECT_EQ(hub->send(message), SendOutcome::Delivered);
+  }
+  queued.set_value();
+  hub->pump(0);  // Blocks in the write until the client reads.
+  client.join();
+
+  EXPECT_EQ(connected, 1u);
+  std::vector<std::int32_t> expected;
+  for (std::int32_t k = 0; k < kBig; ++k) expected.push_back(k);
+  expected.push_back(kForwarded);
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(hub->total().delivery_failures, 0u);
+  EXPECT_EQ(hub->total().messages, static_cast<std::uint64_t>(kBig) + 1);
 }
 
 TEST(SocketBusLive, PollPendingHonorsDeadlineWhenNothingArrives) {
