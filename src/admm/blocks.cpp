@@ -57,9 +57,14 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
     qp.direction.assign(in.latency_row);
     qp.tikhonov = in.rho;
     qp.linear.resize(n);
-    for (std::size_t j = 0; j < n; ++j)
+    // The previous iterate's coupling lambda . L starts the search.
+    double coupling = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
       qp.linear[j] = -in.varphi_row[j] - in.rho * in.a_row[j];
-    solve_rank_one_qp_simplex_into(qp, in.arrival, out, ws.qp_scratch);
+      coupling += in.latency_row[j] * warm_start[j];
+    }
+    solve_rank_one_qp_simplex_into(qp, in.arrival, out, ws.qp_scratch,
+                                   coupling);
     return;
   }
 
@@ -200,10 +205,15 @@ void solve_a_block_into(const ABlockInputs& in,
     qp.direction.fill(1.0);
     qp.tikhonov = in.rho;
     qp.linear.resize(m);
-    for (std::size_t i = 0; i < m; ++i)
+    // The previous iterate's coupling sum_i a_i starts the search.
+    double coupling = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
       qp.linear[i] = in.phi * in.beta + in.varphi_col[i] +
                      in.rho * in.beta * shift - in.rho * in.lambda_col[i];
-    solve_rank_one_qp_capped_into(qp, in.capacity, out, ws.qp_scratch);
+      coupling += warm_start[i];
+    }
+    solve_rank_one_qp_capped_into(qp, in.capacity, out, ws.qp_scratch,
+                                  coupling);
     return;
   }
 

@@ -1,48 +1,7 @@
 #include "admm/telemetry.hpp"
 
-#include "admm/engine.hpp"
-#include "util/contract.hpp"
-#include "util/csv.hpp"
-
 namespace ufc::admm {
 
 void IterationObserver::on_solve_end(const SolveCore& /*core*/) {}
-
-void SolveCounters::on_iteration(const IterationSample& sample) {
-  UFC_EXPECTS(sample.iteration >= 0);
-  ++iterations_;
-  wall_seconds_ += sample.wall_seconds;
-}
-
-void SolveCounters::on_solve_end(const SolveCore& core) {
-  UFC_EXPECTS(core.iterations >= 0);
-  ++solves_;
-  if (core.converged) ++converged_;
-}
-
-CsvTraceObserver::CsvTraceObserver(const std::string& path)
-    : csv_(std::make_unique<CsvWriter>(
-          path, std::vector<std::string>{"solve", "iteration",
-                                         "balance_residual", "copy_residual",
-                                         "change", "objective",
-                                         "wall_seconds"})) {
-  UFC_EXPECTS(!path.empty());
-}
-
-CsvTraceObserver::~CsvTraceObserver() = default;
-
-void CsvTraceObserver::on_iteration(const IterationSample& sample) {
-  csv_->row({static_cast<double>(solve_), static_cast<double>(sample.iteration),
-             sample.balance_residual, sample.copy_residual, sample.change,
-             sample.objective, sample.wall_seconds});
-}
-
-void CsvTraceObserver::on_solve_end(const SolveCore& /*core*/) { ++solve_; }
-
-std::size_t CsvTraceObserver::rows_written() const {
-  return csv_->rows_written();
-}
-
-const std::string& CsvTraceObserver::path() const { return csv_->path(); }
 
 }  // namespace ufc::admm

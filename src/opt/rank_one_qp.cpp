@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "math/projections.hpp"
@@ -65,17 +66,22 @@ class CouplingSearch {
         fixed_sum_(fixed_sum),
         total_(total),
         mass_(qp.tikhonov * total),
-        selection_(scratch.selection) {
+        selection_(scratch.selection),
+        probes_(scratch.probes) {
     scratch.thresholds.resize(n_);
     y_ = scratch.thresholds.data();
     if (fixed_sum_) shift_ = *std::min_element(g_, g_ + n_);
   }
 
-  Root locate() {
+  /// `hint` is probed first when it could be the coupling (see
+  /// certify_hint); otherwise the search starts cold at s = 0.
+  Root locate(double hint) {
     if (!(c_ > 0.0)) {
       probe(0.0);
       return {theta_at_probe(), 0.0, 0.0};
     }
+    Root hinted;
+    if (certify_hint(hint, hinted)) return hinted;
     double lo = 0.0;
     double hi = 0.0;
     double p = 0.0;
@@ -86,15 +92,14 @@ class CouplingSearch {
         if (!(piece.gap > 0.0)) return {theta_at_probe(), 0.0, 0.0};
         // On the simplex s = v . x <= total max v; with theta = 0, x shrinks
         // as s grows, so s <= v . x(0, 0) = F(0).
-        hi = fixed_sum_ ? total_ * *std::max_element(v_, v_ + n_)
-                        : piece.gap;
+        hi = fixed_sum_ ? simplex_bound() : piece.gap;
       }
       (piece.gap > 0.0 ? lo : hi) = p;
       Root root;
       const bool solved = solve_piece(piece, root);
       const double slack = kKktSlack * hi;
       if (solved && root.s >= lo - slack && root.s <= hi + slack &&
-          optimal(root))
+          optimal(root, /*strict=*/false))
         return root;
       // Jump to this piece's root when it is inside the bracket: the next
       // probe then lands on the piece that holds it, or shrinks the bracket.
@@ -120,6 +125,28 @@ class CouplingSearch {
  private:
   double theta_at_probe() const { return fixed_sum_ ? -tau_ : 0.0; }
 
+  /// On the simplex s = v . x <= total max v.
+  double simplex_bound() const {
+    return total_ * *std::max_element(v_, v_ + n_);
+  }
+
+  /// Probes the piece at `hint` and keeps its KKT point when that point is
+  /// certified strictly: the root is finite, positive and (on the simplex)
+  /// at most total max v, and every coordinate clears the sign test by more
+  /// than its slack. The active set is then the same on a neighbourhood of
+  /// the root, no neighbouring piece can certify too, and the cold search
+  /// would end on this piece with the same sums, hence the same bits. A
+  /// root at s = 0 is left to the cold search, which returns it by another
+  /// formula.
+  bool certify_hint(double hint, Root& root) {
+    const double upper = fixed_sum_ ? simplex_bound()
+                                    : std::numeric_limits<double>::infinity();
+    if (!(hint > 0.0 && hint <= upper) || !std::isfinite(hint)) return false;
+    if (!solve_piece(probe(hint), root)) return false;
+    return std::isfinite(root.s) && root.s > 0.0 && root.s <= upper &&
+           optimal(root, /*strict=*/true);
+  }
+
   double multiplier_gap(const Root& root, std::size_t i) const {
     return (root.level - (g_[i] - shift_)) +
            c_ * root.s * (root.v_ref - v_[i]);
@@ -128,6 +155,7 @@ class CouplingSearch {
   /// Evaluates the active set S(p) = {i : y_i > tau} at coupling p, where
   /// y_i = -(g_i + c p v_i) and theta(p) = -tau, and returns its piece.
   Piece probe(double p) {
+    ++probes_;
     for (std::size_t i = 0; i < n_; ++i)
       y_[i] = -((g_[i] - shift_) + c_ * p * v_[i]);
     tau_ = fixed_sum_ ? simplex_threshold_condat({y_, n_}, mass_, selection_)
@@ -175,15 +203,19 @@ class CouplingSearch {
   }
 
   /// KKT sign conditions at `root` for the active set of the last probe:
-  /// theta - g_i - c s v_i >= 0 on S and <= 0 off S.
-  bool optimal(const Root& root) const {
+  /// theta - g_i - c s v_i >= 0 on S and <= 0 off S, up to a slack of a few
+  /// roundings. `strict` demands instead that each gap clears zero by more
+  /// than that slack, on the right side.
+  bool optimal(const Root& root, bool strict) const {
     for (std::size_t i = 0; i < n_; ++i) {
       const double gap = multiplier_gap(root, i);
       const double slack =
           kKktSlack * (std::abs(root.level) + std::abs(g_[i] - shift_) +
                        c_ * std::abs(root.s) * (root.v_ref + v_[i]));
       const bool active = y_[i] > tau_;
-      if (active ? gap < -slack : gap > slack) return false;
+      const bool fails = strict ? (active ? !(gap > slack) : !(gap < -slack))
+                                : (active ? gap < -slack : gap > slack);
+      if (fails) return false;
     }
     return true;
   }
@@ -198,22 +230,24 @@ class CouplingSearch {
   double mass_;  ///< rho * total (simplex only).
   double shift_ = 0.0;
   std::vector<double>& selection_;
+  std::uint64_t& probes_;
   double* y_ = nullptr;
   double tau_ = 0.0;
 };
 
 /// Simplex solve for an already checked problem and total > 0.
 void simplex_into(const RankOneQp& qp, double total, std::span<double> out,
-                  RankOneQpScratch& scratch) {
+                  RankOneQpScratch& scratch, double coupling_hint) {
   CouplingSearch search(qp, /*fixed_sum=*/true, total, scratch);
-  search.write(search.locate(), out);
+  search.write(search.locate(coupling_hint), out);
 }
 
 }  // namespace
 
 void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
                                     std::span<double> out,
-                                    RankOneQpScratch& scratch) {
+                                    RankOneQpScratch& scratch,
+                                    double coupling_hint) {
   check(qp);
   UFC_EXPECTS(total >= 0.0);
   UFC_EXPECTS(out.size() == qp.direction.size());
@@ -222,12 +256,13 @@ void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  simplex_into(qp, total, out, scratch);
+  simplex_into(qp, total, out, scratch, coupling_hint);
 }
 
 void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
                                    std::span<double> out,
-                                   RankOneQpScratch& scratch) {
+                                   RankOneQpScratch& scratch,
+                                   double coupling_hint) {
   check(qp);
   UFC_EXPECTS(cap >= 0.0);
   UFC_EXPECTS(out.size() == qp.direction.size());
@@ -238,12 +273,12 @@ void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
   }
   // First try the sum constraint inactive (theta = 0).
   CouplingSearch search(qp, /*fixed_sum=*/false, 0.0, scratch);
-  search.write(search.locate(), out);
+  search.write(search.locate(coupling_hint), out);
   double used = 0.0;
   for (double x : out) used += x;
   if (used <= cap) return;
   // The cap binds: identical to the simplex problem at total = cap.
-  simplex_into(qp, cap, out, scratch);
+  simplex_into(qp, cap, out, scratch, coupling_hint);
 }
 
 Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total) {

@@ -26,9 +26,18 @@
 // and accepts the result when the KKT sign conditions hold for it; otherwise
 // it moves to the piece's root (if inside the bracket) or bisects, down to
 // adjacent doubles, since a piece can be narrower than any fixed tolerance.
-// There are finitely many pieces; at paper scale 95% of solves end within
-// four probes, and a bracket that shrinks to adjacent doubles falls back to
-// its midpoint. No sorting and, once the scratch is warm, no allocation.
+// There are finitely many pieces, and a bracket that shrinks to adjacent
+// doubles falls back to its midpoint. No sorting and, once the scratch is
+// warm, no allocation.
+//
+// A caller that knows roughly where the coupling lies (an ADMM block knows
+// v . x of the previous iterate) passes it as `coupling_hint`. That point is
+// probed first, and its piece is kept only when it is certified strictly:
+// every coordinate clears the KKT sign test by more than the rounding slack,
+// so no other piece can certify and the cold search would return the same
+// bits. Anything else (no hint, a wrong piece, a borderline certificate)
+// runs the cold search from s = 0. On the seed-42 paper week the hint cuts
+// the lambda-row solves from 3.5 probes to 1.1 on average.
 //
 // On the simplex, g is shifted by its minimum before thresholds are formed
 // (which changes only theta), so a total far below the rounding of g keeps
@@ -40,6 +49,7 @@
 // cross-validation baseline.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -59,6 +69,9 @@ struct RankOneQp {
 struct RankOneQpScratch {
   std::vector<double> thresholds;  ///< -(g_i + c s v_i) at the probed s.
   std::vector<double> selection;   ///< Condat's candidate/waiting lists.
+  /// Active-set probes made through this scratch so far: a deterministic
+  /// work count that the solver only increments, never reads.
+  std::uint64_t probes = 0;
 };
 
 /// Exact minimizer over {x >= 0, sum x = total}. Requires total >= 0.
@@ -68,15 +81,20 @@ Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total);
 Vec solve_rank_one_qp_capped(const RankOneQp& qp, double cap);
 
 /// Allocation-free solve_rank_one_qp_simplex writing into `out` (sized n).
-/// Same result as the Vec-returning form.
+/// `coupling_hint` is a guess of v . x at the optimum, probed first; a
+/// non-positive or non-finite hint means none. The result is the same, bit
+/// for bit, for every hint and the same as the Vec-returning form.
 void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
                                     std::span<double> out,
-                                    RankOneQpScratch& scratch);
+                                    RankOneQpScratch& scratch,
+                                    double coupling_hint = 0.0);
 
-/// Allocation-free solve_rank_one_qp_capped writing into `out` (sized n).
+/// Allocation-free solve_rank_one_qp_capped writing into `out` (sized n),
+/// with the same `coupling_hint` as the simplex form.
 void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
                                    std::span<double> out,
-                                   RankOneQpScratch& scratch);
+                                   RankOneQpScratch& scratch,
+                                   double coupling_hint = 0.0);
 
 /// The nested bisection the closed form replaced (rank_one_qp_reference.cpp):
 /// an independent method for cross-validation in tests, not a solver path.

@@ -6,24 +6,6 @@
 
 namespace ufc {
 
-double monotone_root(const std::function<double(double)>& g, double lo,
-                     double hi, const ScalarMinimizeOptions& options) {
-  UFC_EXPECTS(lo <= hi);
-  if (g(lo) >= 0.0) return lo;
-  if (g(hi) <= 0.0) return hi;
-  double a = lo;
-  double b = hi;
-  for (int k = 0; k < options.max_iterations && (b - a) > options.tolerance;
-       ++k) {
-    const double mid = 0.5 * (a + b);
-    if (g(mid) >= 0.0)
-      b = mid;
-    else
-      a = mid;
-  }
-  return 0.5 * (a + b);
-}
-
 double minimize_convex_scalar(const std::function<double(double)>& derivative,
                               double lo, double hi,
                               const ScalarMinimizeOptions& options) {

@@ -2,13 +2,16 @@
 //
 // The nu-minimization step (19) of the paper is a scalar convex problem
 //   min_{nu >= 0} V(C*nu) + c1*nu + (rho/2)(c0 - nu)^2 .
-// For affine V it has a closed form; for general convex V we locate the root
-// of the (monotone nondecreasing) derivative by bisection, handling
-// subdifferential jumps of piecewise V (e.g. stepped carbon taxes) by
-// converging onto the kink.
+// The nu block solves it for every convex V, affine included, by bisecting
+// on the (monotone nondecreasing) derivative, which handles subdifferential
+// jumps of piecewise V (e.g. stepped carbon taxes) by converging onto the
+// kink. monotone_root is a template over its callable, so that bisection
+// calls its derivative directly rather than through std::function.
 #pragma once
 
 #include <functional>
+
+#include "util/contract.hpp"
 
 namespace ufc {
 
@@ -32,7 +35,23 @@ double golden_section_minimize(const std::function<double(double)>& f,
 
 /// Bisection root of a monotone nondecreasing function on [lo, hi].
 /// If g(lo) >= 0 returns lo; if g(hi) <= 0 returns hi.
-double monotone_root(const std::function<double(double)>& g, double lo,
-                     double hi, const ScalarMinimizeOptions& options = {});
+template <class Function>
+double monotone_root(const Function& g, double lo, double hi,
+                     const ScalarMinimizeOptions& options = {}) {
+  UFC_EXPECTS(lo <= hi);
+  if (g(lo) >= 0.0) return lo;
+  if (g(hi) <= 0.0) return hi;
+  double a = lo;
+  double b = hi;
+  for (int k = 0; k < options.max_iterations && (b - a) > options.tolerance;
+       ++k) {
+    const double mid = 0.5 * (a + b);
+    if (g(mid) >= 0.0)
+      b = mid;
+    else
+      a = mid;
+  }
+  return 0.5 * (a + b);
+}
 
 }  // namespace ufc

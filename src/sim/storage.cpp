@@ -30,14 +30,38 @@ double displacement_gain(double delta, double nu, double mu, double eff,
   return p0 * from_fc + eff * std::min(delta - from_fc, nu);
 }
 
+/// Power below which a solve's output counts as zero, MW. The ADM-G gate
+/// stops once the balance residual |alpha + beta sum a - mu - nu| is within
+/// `tolerance` times the largest site demand (at least 1 MW, the engine's
+/// balance scale), so mu and nu are resolved no finer than that.
+double resolved_mw(const UfcProblem& problem, double tolerance) {
+  double scale = 1.0;
+  for (std::size_t j = 0; j < problem.num_datacenters(); ++j)
+    scale = std::max(scale,
+                     problem.demand_mw(j, problem.datacenters[j].servers));
+  return tolerance * scale;
+}
+
 }  // namespace
 
 StorageWeekResult run_storage_week(const traces::Scenario& scenario,
                                    const StoragePolicyOptions& policy,
                                    const SimulatorOptions& options) {
+  std::vector<int> slots_run;
+  const std::vector<admm::AdmgReport> reports =
+      solve_all_slots(scenario, admm::Strategy::Hybrid, options, &slots_run);
+  return apply_storage_policy(scenario, policy, options, reports, slots_run);
+}
+
+StorageWeekResult apply_storage_policy(
+    const traces::Scenario& scenario, const StoragePolicyOptions& policy,
+    const SimulatorOptions& options,
+    const std::vector<admm::AdmgReport>& reports,
+    const std::vector<int>& slots_run) {
   UFC_EXPECTS(policy.charge_quantile >= 0.0 && policy.charge_quantile <= 1.0);
   UFC_EXPECTS(policy.discharge_quantile >= policy.charge_quantile);
   UFC_EXPECTS(policy.discharge_quantile <= 1.0);
+  UFC_EXPECTS(reports.size() == slots_run.size());
 
   const std::size_t n = scenario.num_datacenters();
   const double tax = scenario.config().carbon_tax;
@@ -66,12 +90,8 @@ StorageWeekResult run_storage_week(const traces::Scenario& scenario,
 
   std::vector<Battery> batteries(n, Battery(policy.battery));
 
-  // Pass 1: solve every slot once (shared by the base and with-storage
-  // accounting) and learn each site's grid-draw profile so charging never
-  // creates a new peak.
-  std::vector<int> slots_run;
-  std::vector<admm::AdmgReport> reports =
-      solve_all_slots(scenario, admm::Strategy::Hybrid, options, &slots_run);
+  // Each site's grid-draw profile over the solved slots (shared by the base
+  // and with-storage accounting), so charging never creates a new peak.
   std::vector<double> charge_headroom(n);  // grid-draw cap while charging
   for (std::size_t j = 0; j < n; ++j) {
     std::vector<double> draws;
@@ -96,6 +116,11 @@ StorageWeekResult run_storage_week(const traces::Scenario& scenario,
 
     StorageSlotResult slot_result;
     slot_result.slot = t;
+    // Which sources run is decided above the solve's resolution. Below it,
+    // output is solver residue (Hybrid fuel cells idle at anything from
+    // 1e-14 to 1e-2 MW) or rounding noise of about 1e-15 MW.
+    const double zero_mw =
+        resolved_mw(scenario.problem_at(t), options.admg.tolerance);
 
     for (std::size_t j = 0; j < n; ++j) {
       const double eff = effective_price(scenario, slot, j, tax);
@@ -115,9 +140,12 @@ StorageWeekResult run_storage_week(const traces::Scenario& scenario,
 
       // What is a discharged MWh worth right now? The priciest marginal
       // source currently running.
-      const double value_now = std::max(grid_draw > 0.0 ? eff : 0.0,
-                                        fuel_cell > 0.0 ? p0 : 0.0);
-      if (value_now >= discharge_above[j] && (grid_draw + fuel_cell) > 0.0) {
+      const bool grid_running = grid_draw > zero_mw;
+      const bool fuel_cell_running = fuel_cell > zero_mw;
+      const double value_now = std::max(grid_running ? eff : 0.0,
+                                        fuel_cell_running ? p0 : 0.0);
+      if (value_now >= discharge_above[j] &&
+          (grid_running || fuel_cell_running)) {
         double delivered = battery.discharge(grid_draw + fuel_cell);
         slot_result.discharged_mwh += delivered;
         // Displace the more expensive source first.

@@ -10,6 +10,9 @@
 // observation.
 #pragma once
 
+#include <vector>
+
+#include "admm/admg.hpp"
 #include "model/battery.hpp"
 #include "sim/simulator.hpp"
 
@@ -46,6 +49,18 @@ struct StorageWeekResult {
 StorageWeekResult run_storage_week(const traces::Scenario& scenario,
                                    const StoragePolicyOptions& policy,
                                    const SimulatorOptions& options = {});
+
+/// run_storage_week's battery policy over Hybrid slots already solved with
+/// `options`: reports[k] solves slot slots_run[k], as solve_all_slots
+/// returns them. Whether grid or fuel cells run at a site is decided above
+/// the solve's resolution (options.admg.tolerance times the largest site
+/// demand, the precision its convergence gate certifies), so no decision
+/// flips on rounding noise in the dispatch.
+StorageWeekResult apply_storage_policy(
+    const traces::Scenario& scenario, const StoragePolicyOptions& policy,
+    const SimulatorOptions& options,
+    const std::vector<admm::AdmgReport>& reports,
+    const std::vector<int>& slots_run);
 
 /// Clairvoyant upper bound: per-site dynamic program over a discretized
 /// state of charge, using the week's actual prices and the solved hybrid

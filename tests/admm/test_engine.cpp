@@ -6,10 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <vector>
 
-#include "admm/async.hpp"
 #include "admm/engine.hpp"
 #include "admm/options.hpp"
 #include "helpers.hpp"
@@ -286,40 +284,6 @@ TEST(EngineTelemetry, PhaseProfilesAreCoherentWhenEnabled) {
     EXPECT_GE(sample.phases.gate_seconds, 0.0);
     EXPECT_GE(sample.wall_seconds, 0.0);
   }
-}
-
-TEST(EngineTelemetry, SolveCountersAggregateAcrossSolvesAndDrivers) {
-  const auto problem = make_tiny_problem();
-  SolveCounters counters;
-  AdmgOptions options;
-  options.observer = &counters;
-
-  const AdmgReport first = solve_admg(problem, options);
-  AsyncOptions async;
-  async.admg = options;
-  async.participation = 0.7;
-  const AsyncReport second = solve_async_admg(problem, async);
-
-  EXPECT_EQ(counters.solves(), 2);
-  EXPECT_EQ(counters.converged_solves(), 2);
-  EXPECT_EQ(counters.iterations(),
-            static_cast<std::int64_t>(first.iterations + second.iterations));
-  EXPECT_GE(counters.wall_seconds(), 0.0);
-}
-
-TEST(EngineTelemetry, CsvTraceObserverWritesOneRowPerIteration) {
-  const auto problem = make_tiny_problem();
-  const std::string path = ::testing::TempDir() + "engine_trace.csv";
-  {
-    CsvTraceObserver observer(path);
-    AdmgOptions options;
-    options.observer = &observer;
-    const AdmgReport report = solve_admg(problem, options);
-    EXPECT_EQ(observer.rows_written(),
-              static_cast<std::size_t>(report.iterations));
-    EXPECT_EQ(observer.path(), path);
-  }
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

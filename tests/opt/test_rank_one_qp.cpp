@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "math/projections.hpp"
 #include "opt/fista.hpp"
@@ -315,6 +318,37 @@ TEST(RankOneQpClosedForm, CapExactlyAtTheUnconstrainedSum) {
   }
 }
 
+/// `base` plus a fourth coordinate, with direction v4, whose threshold
+/// equals the optimal theta of `base` at `total`: it sits on the active-set
+/// breakpoint with x_4 = 0, and the other three keep their solution.
+RankOneQp add_coordinate_on_the_breakpoint(const RankOneQp& base,
+                                           double total, double v4) {
+  const Vec x3 = solve_rank_one_qp_simplex(base, total);
+  const double s = dot(base.direction, x3);
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(x3.begin(), x3.end()) - x3.begin());
+  const double theta = base.linear[top] +
+                       base.curvature * s * base.direction[top] +
+                       base.tikhonov * x3[top];
+  RankOneQp qp;
+  qp.curvature = base.curvature;
+  qp.tikhonov = base.tikhonov;
+  qp.direction = Vec{base.direction[0], base.direction[1], base.direction[2],
+                     v4};
+  qp.linear = Vec{base.linear[0], base.linear[1], base.linear[2],
+                  theta - base.curvature * s * v4};
+  return qp;
+}
+
+/// Three coordinates with negative linear terms: a base for the breakpoint
+/// fixture.
+RankOneQp breakpoint_base(Rng& rng) {
+  RankOneQp base = random_qp(rng, 3);
+  for (std::size_t i = 0; i < 3; ++i)
+    base.linear[i] = -std::abs(base.linear[i]);
+  return base;
+}
+
 TEST(RankOneQpClosedForm, OptimumOnAnActiveSetBreakpoint) {
   // Solve on three coordinates, then add a fourth whose threshold equals the
   // optimal theta exactly: it sits on the breakpoint with x_4 = 0, and the
@@ -327,25 +361,11 @@ TEST(RankOneQpClosedForm, OptimumOnAnActiveSetBreakpoint) {
   Rng rng(21);
   int compared = 0;
   for (int trial = 0; trial < 20; ++trial) {
-    RankOneQp base = random_qp(rng, 3);
-    for (std::size_t i = 0; i < 3; ++i)
-      base.linear[i] = -std::abs(base.linear[i]);
+    const RankOneQp base = breakpoint_base(rng);
     const double total = rng.uniform(0.5, 5.0);
     const Vec x3 = solve_rank_one_qp_simplex(base, total);
-    const double s = dot(base.direction, x3);
-    const std::size_t top = static_cast<std::size_t>(
-        std::max_element(x3.begin(), x3.end()) - x3.begin());
-    const double theta = base.linear[top] +
-                         base.curvature * s * base.direction[top] +
-                         base.tikhonov * x3[top];
-    RankOneQp qp;
-    qp.curvature = base.curvature;
-    qp.tikhonov = base.tikhonov;
-    const double v4 = rng.uniform(0.0, 0.1);
-    qp.direction = Vec{base.direction[0], base.direction[1],
-                       base.direction[2], v4};
-    qp.linear = Vec{base.linear[0], base.linear[1], base.linear[2],
-                    theta - base.curvature * s * v4};
+    const RankOneQp qp =
+        add_coordinate_on_the_breakpoint(base, total, rng.uniform(0.0, 0.1));
     const Vec x4 = solve_rank_one_qp_simplex(qp, total);
     EXPECT_NEAR(x4[3], 0.0, 1e-9 * total);
     for (std::size_t i = 0; i < 3; ++i)
@@ -435,13 +455,10 @@ TEST(RankOneQpClosedForm, StiffCouplingKeepsItsSum) {
   EXPECT_EQ(x[1], 0.0);
 }
 
-TEST(RankOneQpClosedForm, FindsAPieceNarrowerThanAnyFixedTolerance) {
-  // A stiff problem from randomized stress (c = 8.3e4, rho = 1.2e-4,
-  // total = 1.7e-7). The optimum has coordinates 12 and 13 active, but that
-  // active set holds only on an s-interval about 2e-16 wide, so a search
-  // that stops at a fixed 1e-15 bracket never probes it and settles 37% off
-  // (the reference bisection is 3% off). The expected values come from an
-  // exact rational solve of the KKT system.
+/// A stiff problem from randomized stress (c = 8.3e4, rho = 1.2e-4,
+/// total = 1.7e-7). The optimum has coordinates 12 and 13 active, but that
+/// active set holds only on an s-interval about 2e-16 wide.
+RankOneQp narrow_piece_qp() {
   RankOneQp qp;
   qp.curvature = 0x1.445a646fdc9f7p+16;
   qp.tikhonov = 0x1.023a1287af41ap-13;
@@ -457,7 +474,17 @@ TEST(RankOneQpClosedForm, FindsAPieceNarrowerThanAnyFixedTolerance) {
                      0x1.6ba3c75ee6293p-11, 0x1.7aef4addbb0efp-10, 0.0,
                      0x1.16935a84981eap-9, 0x1.5b456ad3c3f2dp-7, 0.0,
                      0x1.468afa8916f92p+0, 0x1.2cf9fbda9c536p-8};
-  const double total = 0x1.7307ed9a54ad2p-23;
+  return qp;
+}
+constexpr double kNarrowPieceTotal = 0x1.7307ed9a54ad2p-23;
+
+TEST(RankOneQpClosedForm, FindsAPieceNarrowerThanAnyFixedTolerance) {
+  // A search that stops at a fixed 1e-15 bracket never probes the optimal
+  // piece of this fixture and settles 37% off (the reference bisection is 3%
+  // off). The expected values come from an exact rational solve of the KKT
+  // system.
+  const RankOneQp qp = narrow_piece_qp();
+  const double total = kNarrowPieceTotal;
   const Vec x = solve_rank_one_qp_simplex(qp, total);
   // Inputs of size 0.5 carry rounding of ~1e-16, which rho total = 2e-11
   // turns into a few 1e-6 relative.
@@ -488,6 +515,247 @@ TEST(RankOneQpClosedForm, IntoMatchesWrapperWithoutReallocating) {
     EXPECT_EQ(scratch.thresholds.data(), thresholds);
     EXPECT_EQ(scratch.selection.data(), selection);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Coupling hints: probed first, and never allowed to change a bit.
+
+std::vector<std::uint64_t> bits(const Vec& x) {
+  std::vector<std::uint64_t> out;
+  for (double e : x) out.push_back(std::bit_cast<std::uint64_t>(e));
+  return out;
+}
+
+/// Solves with `hint` in a fresh scratch and returns its probe count in
+/// `probes`.
+Vec solve_with_hint(const RankOneQp& qp, double bound, bool capped,
+                    double hint, std::uint64_t& probes) {
+  RankOneQpScratch scratch;
+  Vec x(qp.direction.size());
+  if (capped) {
+    solve_rank_one_qp_capped_into(qp, bound, x.span(), scratch, hint);
+  } else {
+    solve_rank_one_qp_simplex_into(qp, bound, x.span(), scratch, hint);
+  }
+  probes = scratch.probes;
+  return x;
+}
+
+Vec solve_with_hint(const RankOneQp& qp, double bound, bool capped,
+                    double hint) {
+  std::uint64_t probes = 0;
+  return solve_with_hint(qp, bound, capped, hint, probes);
+}
+
+/// Couplings at which the piece of the optimum x ends. With S the support of
+/// x, coordinate i meets the simplex threshold where
+///   |S| (g_i + c s v_i) = sum_S g + c s sum_S v + rho bound,
+/// and the zero threshold of the free search where g_i + c s v_i = 0.
+std::vector<double> breakpoints(const RankOneQp& qp, double bound,
+                                const Vec& x) {
+  const double c = qp.curvature;
+  double count = 0.0;
+  double g_sum = 0.0;
+  double v_sum = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!(x[i] > 0.0)) continue;
+    count += 1.0;
+    g_sum += qp.linear[i];
+    v_sum += qp.direction[i];
+  }
+  std::vector<double> out;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double g = qp.linear[i];
+    const double v = qp.direction[i];
+    out.push_back((g_sum + qp.tikhonov * bound - count * g) /
+                  (c * (count * v - v_sum)));
+    out.push_back(-g / (c * v));
+  }
+  std::erase_if(out, [](double s) { return !(s > 0.0 && std::isfinite(s)); });
+  return out;
+}
+
+/// Solves the simplex and the capped problem with no hint, then with hints
+/// at the optimum, next to it, on the piece's breakpoints, at random points
+/// of the feasible range and at values that are no coupling at all; every
+/// hinted solve must return the cold solve's bits.
+void expect_hints_keep_the_bits(const RankOneQp& qp, double bound, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double upper = bound * max_abs(qp.direction);
+  for (bool capped : {false, true}) {
+    const Vec cold = solve_with_hint(qp, bound, capped, 0.0);
+    const double optimum = dot(qp.direction, cold);
+    std::vector<double> hints = {
+        optimum, std::nextafter(optimum, 0.0), std::nextafter(optimum, kInf),
+        -0.0, -1.0, -optimum, std::numeric_limits<double>::quiet_NaN(), kInf,
+        -kInf, upper, std::nextafter(upper, kInf), 2.0 * upper + 1.0, 1e300,
+        std::numeric_limits<double>::denorm_min()};
+    for (double s : breakpoints(qp, bound, cold)) {
+      hints.push_back(s);
+      hints.push_back(std::nextafter(s, 0.0));
+      hints.push_back(std::nextafter(s, kInf));
+    }
+    for (int k = 0; k < 4; ++k) hints.push_back(rng.uniform(0.0, upper));
+    for (double hint : hints) {
+      EXPECT_EQ(bits(solve_with_hint(qp, bound, capped, hint)), bits(cold))
+          << (capped ? "capped" : "simplex") << ", hint " << hint;
+    }
+  }
+}
+
+TEST(RankOneQpCouplingHint, RandomInputsKeepTheColdBits) {
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed + 1300);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    const RankOneQp qp = random_qp(rng, n);
+    expect_hints_keep_the_bits(qp, rng.uniform(0.0, 10.0), rng);
+  }
+  // Paper-shaped lambda rows (M = 10, N = 4) and a columns (v = 1).
+  Rng rng(1400);
+  for (int trial = 0; trial < 40; ++trial) {
+    const double arrival = rng.uniform(100.0, 12000.0);
+    RankOneQp row;
+    row.curvature = 2.0 * 10.0 / arrival;
+    row.tikhonov = 0.3;
+    row.direction = Vec(4);
+    row.linear = Vec(4);
+    for (std::size_t j = 0; j < 4; ++j) {
+      row.direction[j] = rng.uniform(0.005, 0.06);
+      row.linear[j] = -rng.uniform(-5.0, 5.0) -
+                      0.3 * rng.uniform(0.0, arrival / 2.0);
+    }
+    expect_hints_keep_the_bits(row, arrival, rng);
+    const double beta = rng.uniform(1e-4, 3e-4);
+    RankOneQp column;
+    column.curvature = 0.3 * beta * beta;
+    column.tikhonov = 0.3;
+    column.direction = Vec(10, 1.0);
+    column.linear = Vec(10);
+    for (std::size_t i = 0; i < 10; ++i)
+      column.linear[i] =
+          rng.uniform(-30.0, 30.0) - 0.3 * rng.uniform(0.0, 3000.0);
+    expect_hints_keep_the_bits(
+        column, rng.uniform(1.7e4, 2.3e4) * (trial % 3 == 0 ? 0.01 : 1.0),
+        rng);
+  }
+}
+
+TEST(RankOneQpCouplingHint, DegenerateFixturesKeepTheColdBits) {
+  Rng rng(1500);
+  // Tied thresholds and zero directions.
+  RankOneQp tied;
+  tied.curvature = 3.0;
+  tied.tikhonov = 0.5;
+  tied.direction = Vec{0.0, 0.04, 0.04, 0.0, 0.1, 0.04};
+  tied.linear = Vec{1.0, 1.0, 1.0, 1.0, -2.0, 1.0};
+  for (double bound : {0.0, 0.01, 1.0, 7.5})
+    expect_hints_keep_the_bits(tied, bound, rng);
+  tied.direction = Vec(6, 0.0);
+  for (double bound : {0.01, 1.0, 7.5})
+    expect_hints_keep_the_bits(tied, bound, rng);
+  for (int trial = 0; trial < 50; ++trial) {
+    RankOneQp q;
+    q.curvature = rng.uniform(0.0, 20.0);
+    q.tikhonov = rng.uniform(0.1, 2.0);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 12));
+    q.direction = Vec(n);
+    q.linear = Vec(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      q.direction[i] = 0.05 * static_cast<double>(rng.uniform_int(0, 2));
+      q.linear[i] = static_cast<double>(rng.uniform_int(-2, 2));
+    }
+    expect_hints_keep_the_bits(q, rng.uniform(0.0, 5.0), rng);
+  }
+  // Zero v on the whole support, positive v off it: the optimal coupling is
+  // exactly 0, which the cold search returns from its first probe.
+  for (int trial = 0; trial < 20; ++trial) {
+    RankOneQp q = random_qp(rng, 6);
+    for (std::size_t i = 0; i < 3; ++i) {
+      q.direction[i] = 0.0;
+      q.linear[i] = rng.uniform(-5.0, -4.0);
+      q.direction[i + 3] = rng.uniform(0.01, 0.1);
+      q.linear[i + 3] = rng.uniform(50.0, 60.0);
+    }
+    expect_hints_keep_the_bits(q, rng.uniform(0.1, 3.0), rng);
+  }
+  // c = 0.
+  RankOneQp flat = random_qp(rng, 7);
+  flat.curvature = 0.0;
+  expect_hints_keep_the_bits(flat, 2.5, rng);
+  // n = 1.
+  RankOneQp one;
+  one.curvature = 4.0;
+  one.tikhonov = 0.7;
+  one.direction = Vec{0.03};
+  one.linear = Vec{-1.5};
+  for (double bound : {0.5, 3.0, 100.0})
+    expect_hints_keep_the_bits(one, bound, rng);
+  // The optimum exactly on an active-set breakpoint.
+  for (int trial = 0; trial < 20; ++trial) {
+    const RankOneQp base = breakpoint_base(rng);
+    const double total = rng.uniform(0.5, 5.0);
+    expect_hints_keep_the_bits(
+        add_coordinate_on_the_breakpoint(base, total, rng.uniform(0.0, 0.1)),
+        total, rng);
+  }
+  // The optimal piece about 2e-16 wide.
+  expect_hints_keep_the_bits(narrow_piece_qp(), kNarrowPieceTotal, rng);
+  // Totals far below the rounding of g, and a stiff coupling.
+  RankOneQp tiny;
+  tiny.curvature = 5.0;
+  tiny.tikhonov = 0.3;
+  tiny.direction = Vec{0.01, 0.02, 0.03};
+  tiny.linear = Vec{1000.0, 1001.0, 1002.0};
+  for (double bound : {1e-14, 1e-12})
+    expect_hints_keep_the_bits(tiny, bound, rng);
+  RankOneQp stiff;
+  stiff.curvature = 1e6;
+  stiff.tikhonov = 2.5e-4;
+  stiff.direction = Vec{6.7, 0.03};
+  stiff.linear = Vec{-100.0, 0.0};
+  expect_hints_keep_the_bits(stiff, 1e-6, rng);
+}
+
+TEST(RankOneQpCouplingHint, HintAtTheOptimumCertifiesInOneProbe) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed + 1600);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 64));
+    const RankOneQp qp = random_qp(rng, n);
+    const double bound = rng.uniform(0.1, 10.0);
+    // The simplex, and the capped problem with a cap that never binds.
+    for (bool capped : {false, true}) {
+      const double b = capped ? 1e6 : bound;
+      std::uint64_t cold_probes = 0;
+      const Vec cold = solve_with_hint(qp, b, capped, 0.0, cold_probes);
+      const double optimum = dot(qp.direction, cold);
+      EXPECT_GE(cold_probes, 1u);
+      if (!(optimum > 0.0)) continue;
+      std::uint64_t probes = 0;
+      const Vec x = solve_with_hint(qp, b, capped, optimum, probes);
+      EXPECT_EQ(probes, 1u) << "seed " << seed << (capped ? " capped" : "");
+      EXPECT_EQ(bits(x), bits(cold));
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 80);
+}
+
+TEST(RankOneQpCouplingHint, ProbeCounterAccumulatesAndZeroBoundsProbeNothing) {
+  Rng rng(1700);
+  const RankOneQp qp = random_qp(rng, 9);
+  RankOneQpScratch scratch;
+  Vec x(9);
+  solve_rank_one_qp_simplex_into(qp, 0.0, x.span(), scratch, 1.0);
+  solve_rank_one_qp_capped_into(qp, 0.0, x.span(), scratch, 1.0);
+  EXPECT_EQ(scratch.probes, 0u);
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  (void)solve_with_hint(qp, 2.0, false, 0.0, first);
+  (void)solve_with_hint(qp, 3.0, true, 0.0, second);
+  solve_rank_one_qp_simplex_into(qp, 2.0, x.span(), scratch);
+  solve_rank_one_qp_capped_into(qp, 3.0, x.span(), scratch);
+  EXPECT_EQ(scratch.probes, first + second);
 }
 
 TEST(RankOneQp, InvalidInputsThrow) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/session.hpp"
 #include "sim/storage.hpp"
 #include "util/contract.hpp"
 
@@ -144,6 +147,47 @@ TEST(OptimalStorage, EnergyBooksBalance) {
   }
   EXPECT_LE(discharged,
             charged * optimal.battery.round_trip_efficiency + 1e-9);
+}
+
+TEST(StorageExtension, DecisionsIgnoreRoundingNoiseInTheDispatch) {
+  // An ulp-level change in the solver moves mu and nu by about 1e-15 MW. A
+  // policy that branches on raw output > 0 flips charge and discharge
+  // decisions on such noise; perturbing every mu and nu by +-1e-15 MW must
+  // leave every decision, hence every slot's energy books, where it was.
+  const auto scenario = storage_scenario();
+  const auto options = fast_options();
+  std::vector<int> slots;
+  const std::vector<admm::AdmgReport> reports =
+      solve_all_slots(scenario, admm::Strategy::Hybrid, options, &slots);
+  const auto base =
+      apply_storage_policy(scenario, sized_policy(), options, reports, slots);
+  EXPECT_EQ(base.slots.size(), 72u);
+  int at_zero = 0;
+  for (double noise : {1e-15, -1e-15}) {
+    std::vector<admm::AdmgReport> perturbed = reports;
+    for (auto& report : perturbed) {
+      for (Vec* output : {&report.solution.mu, &report.solution.nu}) {
+        for (double& x : *output) {
+          // ufc-lint: allow(float-equal) — counts outputs exactly at zero.
+          if (x == 0.0) ++at_zero;
+          x += noise;
+        }
+      }
+    }
+    const auto result = apply_storage_policy(scenario, sized_policy(),
+                                             options, perturbed, slots);
+    ASSERT_EQ(result.slots.size(), base.slots.size());
+    for (std::size_t k = 0; k < base.slots.size(); ++k) {
+      EXPECT_NEAR(result.slots[k].discharged_mwh, base.slots[k].discharged_mwh,
+                  1e-9)
+          << "slot " << base.slots[k].slot << ", noise " << noise;
+      EXPECT_NEAR(result.slots[k].charged_grid_mwh,
+                  base.slots[k].charged_grid_mwh, 1e-9)
+          << "slot " << base.slots[k].slot << ", noise " << noise;
+    }
+  }
+  // Some outputs sit exactly at zero, where the noise decides the sign.
+  EXPECT_GT(at_zero, 0);
 }
 
 TEST(StorageExtension, InvalidQuantilesThrow) {

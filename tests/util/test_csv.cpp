@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/contract.hpp"
 #include "util/csv.hpp"
@@ -21,7 +23,13 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "ufc_csv_test.csv";
+  // ctest runs each case as its own process, in parallel: a path shared by
+  // the cases lets one overwrite or delete another's file mid-test, so the
+  // path carries the test name and the process id.
+  std::string path_ =
+      ::testing::TempDir() + "ufc_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
