@@ -140,16 +140,6 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
   std::copy(ws.fista.x.begin(), ws.fista.x.end(), out.begin());
 }
 
-// ufc-lint: allow(expects-guard) — thin wrapper; solve_lambda_block_into
-// guards every input before any work happens.
-Vec solve_lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
-                       const InnerSolverOptions& options) {
-  Vec out(in.latency_row.size());
-  BlockWorkspace ws;
-  solve_lambda_block_into(in, warm_start.span(), out.span(), ws, options);
-  return out;
-}
-
 double solve_mu_block(const MuBlockInputs& in) {
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.mu_max >= 0.0);
@@ -278,24 +268,14 @@ void solve_a_block_into(const ABlockInputs& in,
   std::copy(ws.fista.x.begin(), ws.fista.x.end(), out.begin());
 }
 
-// ufc-lint: allow(expects-guard) — thin wrapper; solve_a_block_into guards
-// every input before any work happens.
-Vec solve_a_block(const ABlockInputs& in, const Vec& warm_start,
-                  const InnerSolverOptions& options) {
-  Vec out(in.varphi_col.size());
-  BlockWorkspace ws;
-  solve_a_block_into(in, warm_start.span(), out.span(), ws, options);
-  return out;
-}
-
-// ufc-lint: allow(expects-guard) — pure arithmetic on scalars already
+// ufc-lint: allow(expects-reach) — pure arithmetic on scalars already
 // validated by the solver; this is the per-datacenter inner-loop dual update.
 double update_phi(double phi, double rho, double alpha, double beta,
                   double a_col_sum, double mu, double nu) {
   return phi + rho * (alpha + beta * a_col_sum - mu - nu);
 }
 
-// ufc-lint: allow(expects-guard) — same as update_phi: validated-scalar
+// ufc-lint: allow(expects-reach) — same as update_phi: validated-scalar
 // arithmetic on the hot path.
 double update_varphi(double varphi, double rho, double a, double lambda) {
   return varphi + rho * (a - lambda);

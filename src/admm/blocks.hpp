@@ -86,14 +86,10 @@ struct LambdaBlockInputs {
   const UtilityFunction* utility = nullptr; ///< non-owning, non-null.
 };
 
-/// Solves the per-front-end sub-problem; `warm_start` seeds the inner solver.
-Vec solve_lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
-                       const InnerSolverOptions& options);
-
-/// Allocation-free variant writing the minimizer into `out` (sized N). With
-/// the FISTA and Exact methods no heap allocation happens once `ws` is warm
-/// (the PG ablation still allocates); iterates are bit-identical to
-/// solve_lambda_block.
+/// Solves the per-front-end sub-problem, writing the minimizer into `out`
+/// (sized N); `warm_start` seeds the inner solver. With the FISTA and Exact
+/// methods no heap allocation happens once `ws` is warm (the PG ablation
+/// still allocates); iterates do not depend on the workspace's history.
 void solve_lambda_block_into(const LambdaBlockInputs& in,
                              std::span<const double> warm_start,
                              std::span<double> out, BlockWorkspace& ws,
@@ -160,11 +156,8 @@ struct ABlockInputs {
   double capacity = 0.0;               ///< S_j, servers.
 };
 
-Vec solve_a_block(const ABlockInputs& in, const Vec& warm_start,
-                  const InnerSolverOptions& options);
-
-/// Allocation-free variant writing the minimizer into `out` (sized M);
-/// bit-identical to solve_a_block. See solve_lambda_block_into.
+/// Solves the per-datacenter sub-problem, writing the minimizer into `out`
+/// (sized M). See solve_lambda_block_into.
 void solve_a_block_into(const ABlockInputs& in,
                         std::span<const double> warm_start,
                         std::span<double> out, BlockWorkspace& ws,

@@ -5,9 +5,11 @@
 // simulates per-attempt loss and scripted faults from a FaultPlan, and
 // enqueues at the destination. Two transport configurations exist:
 //
-//  * Legacy reliable transport (the default, max_attempts = 0): a lossy
-//    link retransmits until delivery — the abstraction a synchronous ADMM
-//    round needs. Iterates are unaffected by loss; only traffic grows.
+//  * Reliable transport (the default, max_attempts = 0): a lossy link
+//    retransmits until delivery — the abstraction a synchronous ADMM round
+//    needs, and what the runtime's strict lockstep mode runs on. Iterates
+//    are unaffected by loss; only traffic grows. Message loss is set like
+//    every other fault, through FaultPlan::random_faults.
 //  * Deadline transport (max_attempts > 0): at most max_attempts
 //    transmissions per message with round-based exponential backoff
 //    accounting; exhaustion surfaces as SendOutcome::Failed and a
@@ -36,22 +38,18 @@ namespace ufc::net {
 
 struct BusConfig {
   std::uint64_t seed = 1;  ///< Drives every random fault draw.
-  /// Per-message transmission cap. 0 = legacy unbounded retransmit (only
-  /// valid for delivery-preserving plans); >= 1 enables the deadline
-  /// transport. Contract-checked against the plan in the constructor.
+  /// Per-message transmission cap. 0 = unbounded retransmit (only valid for
+  /// delivery-preserving plans); >= 1 enables the deadline transport.
+  /// Contract-checked against the plan in the constructor.
   int max_attempts = 0;
   FaultPlan faults;
 };
 
 class MessageBus final : public Transport {
  public:
-  /// Legacy transport: loss_rate in [0, 1) is the probability that any
-  /// single transmission attempt is dropped (then retried; `seed` makes
-  /// drops reproducible).
-  explicit MessageBus(double loss_rate = 0.0, std::uint64_t seed = 1);
-
-  /// Fault-injecting transport configured by `config.faults`.
-  explicit MessageBus(BusConfig config);
+  /// Transport configured by `config`; the default is a fault-free reliable
+  /// bus.
+  explicit MessageBus(BusConfig config = {});
 
   /// Advances the bus clock to `round`: releases every delayed message whose
   /// release round has arrived (deterministic order: release round, then

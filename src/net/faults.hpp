@@ -64,7 +64,7 @@ class FaultPlan {
   bool empty() const;
   /// True when every sent message is eventually delivered un-tampered within
   /// its own round given unbounded retries: no partitions, no crashes, no
-  /// corruption, no delay. Loss alone is delivery-preserving (the legacy
+  /// corruption, no delay. Loss alone is delivery-preserving (the
   /// reliable-retransmit model).
   bool delivery_preserving() const;
 

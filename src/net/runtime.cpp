@@ -21,16 +21,6 @@ BusConfig make_bus_config(const DistributedOptions& options) {
   config.seed = options.loss_seed;
   config.max_attempts = options.max_attempts;
   config.faults = options.faults;
-  // ufc-lint: allow(float-equal) — exact-zero guard: "knob untouched".
-  if (options.loss_rate != 0.0) {
-    // The legacy loss knob and a plan-level loss rate are alternatives, not
-    // additive; routing the knob through the plan keeps one validation path.
-    // ufc-lint: allow(float-equal) — exact-zero guard: "plan untouched".
-    UFC_EXPECTS(config.faults.random().loss_rate == 0.0);
-    RandomFaults random = config.faults.random();
-    random.loss_rate = options.loss_rate;
-    config.faults.random_faults(random);
-  }
   return config;
 }
 

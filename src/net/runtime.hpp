@@ -8,8 +8,9 @@
 // Two operating modes (docs/ROBUSTNESS.md):
 //
 //  * Strict lockstep (default): every message arrives within its round
-//    (legacy reliable transport) and rounds are bit-identical to
-//    AdmgSolver::step(). Requires a delivery-preserving fault plan.
+//    (the bus's unbounded-retransmit transport, max_attempts = 0) and
+//    rounds are bit-identical to AdmgSolver::step(). Requires a
+//    delivery-preserving fault plan, such as random message loss alone.
 //  * Degraded (options.degraded): rounds proceed on the latest value
 //    received from each peer — the generalization of admm/async.hpp's
 //    stale-bounded participation model to message loss, delay, partitions
@@ -56,9 +57,10 @@ struct DistributedOptions {
   admm::AdmgOptions admg;     ///< Same knobs as the monolithic solver; the
                               ///< watchdog / fallback fields govern the
                               ///< runtime's watchdog too.
-  double loss_rate = 0.0;     ///< Per-attempt message-loss probability.
+  /// Seed of the bus's random fault draws (BusConfig::seed).
   std::uint64_t loss_seed = 1;
-  /// Scripted + seeded-random fault environment for the bus.
+  /// Scripted + seeded-random fault environment for the bus; message loss
+  /// is `faults.random_faults({.loss_rate = ...})`.
   FaultPlan faults;
   /// Per-message transmission cap (see BusConfig). Must stay 0 in strict
   /// mode; must be >= 1 when the plan is not delivery-preserving.

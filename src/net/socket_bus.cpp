@@ -161,6 +161,8 @@ std::optional<Frame> FrameReader::next() {
                std::span<const std::byte>(buffer_).subspan(offset, length)};
 }
 
+// ufc-lint: allow(expects-reach) — encoder: every index and node list
+// encodes; decode_hello_body() carries the format contract for the pair.
 std::vector<std::byte> encode_hello_body(std::uint32_t worker_index,
                                          std::span<const NodeId> nodes) {
   std::vector<std::byte> out;
@@ -184,6 +186,8 @@ HelloBody decode_hello_body(std::span<const std::byte> body) {
   return hello;
 }
 
+// ufc-lint: allow(expects-reach) — encoder: every counter and gauge table
+// encodes; decode_metrics_body() carries the format contract for the pair.
 std::vector<std::byte> encode_metrics_body(
     const std::map<std::string, std::uint64_t>& counters,
     const std::map<std::string, double>& gauges) {

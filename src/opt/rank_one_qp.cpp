@@ -281,22 +281,6 @@ void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
   simplex_into(qp, cap, out, scratch, coupling_hint);
 }
 
-Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total) {
-  UFC_EXPECTS(total >= 0.0);
-  Vec out(qp.direction.size());
-  RankOneQpScratch scratch;
-  solve_rank_one_qp_simplex_into(qp, total, out.span(), scratch);
-  return out;
-}
-
-Vec solve_rank_one_qp_capped(const RankOneQp& qp, double cap) {
-  UFC_EXPECTS(cap >= 0.0);
-  Vec out(qp.direction.size());
-  RankOneQpScratch scratch;
-  solve_rank_one_qp_capped_into(qp, cap, out.span(), scratch);
-  return out;
-}
-
 double rank_one_qp_value(const RankOneQp& qp, const Vec& x) {
   UFC_EXPECTS(x.size() == qp.direction.size());
   const double coupling = dot(qp.direction, x);

@@ -74,23 +74,18 @@ struct RankOneQpScratch {
   std::uint64_t probes = 0;
 };
 
-/// Exact minimizer over {x >= 0, sum x = total}. Requires total >= 0.
-Vec solve_rank_one_qp_simplex(const RankOneQp& qp, double total);
-
-/// Exact minimizer over {x >= 0, sum x <= cap}. Requires cap >= 0.
-Vec solve_rank_one_qp_capped(const RankOneQp& qp, double cap);
-
-/// Allocation-free solve_rank_one_qp_simplex writing into `out` (sized n).
+/// Exact minimizer over {x >= 0, sum x = total}, written into `out` (sized
+/// n) without allocating once `scratch` is warm. Requires total >= 0.
 /// `coupling_hint` is a guess of v . x at the optimum, probed first; a
 /// non-positive or non-finite hint means none. The result is the same, bit
-/// for bit, for every hint and the same as the Vec-returning form.
+/// for bit, for every hint and every scratch state.
 void solve_rank_one_qp_simplex_into(const RankOneQp& qp, double total,
                                     std::span<double> out,
                                     RankOneQpScratch& scratch,
                                     double coupling_hint = 0.0);
 
-/// Allocation-free solve_rank_one_qp_capped writing into `out` (sized n),
-/// with the same `coupling_hint` as the simplex form.
+/// Exact minimizer over {x >= 0, sum x <= cap}, written into `out` (sized n)
+/// with the same `coupling_hint` as the simplex form. Requires cap >= 0.
 void solve_rank_one_qp_capped_into(const RankOneQp& qp, double cap,
                                    std::span<double> out,
                                    RankOneQpScratch& scratch,

@@ -16,6 +16,24 @@
 namespace ufc::admm {
 namespace {
 
+// The block solvers write into caller-owned buffers; these return the
+// minimizer as a Vec, solved through a fresh workspace.
+Vec lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
+                 const InnerSolverOptions& options) {
+  Vec out(in.latency_row.size());
+  BlockWorkspace ws;
+  solve_lambda_block_into(in, warm_start.span(), out.span(), ws, options);
+  return out;
+}
+
+Vec a_block(const ABlockInputs& in, const Vec& warm_start,
+            const InnerSolverOptions& options) {
+  Vec out(in.varphi_col.size());
+  BlockWorkspace ws;
+  solve_a_block_into(in, warm_start.span(), out.span(), ws, options);
+  return out;
+}
+
 InnerSolverOptions tight_inner() {
   InnerSolverOptions options;
   options.fista.tolerance = 1e-12;
@@ -48,7 +66,7 @@ TEST(LambdaBlock, TwoDatacenterBruteForce) {
   in.latency_weight = 10.0;
   in.utility = &utility;
 
-  const Vec solution = solve_lambda_block(in, Vec{0.5, 0.5}, tight_inner());
+  const Vec solution = lambda_block(in, Vec{0.5, 0.5}, tight_inner());
   EXPECT_NEAR(solution[0] + solution[1], 1.0, 1e-9);
 
   double best = 1e100, best_x = 0.0;
@@ -73,7 +91,7 @@ TEST(LambdaBlock, ZeroArrivalReturnsZeros) {
   in.a_row = a_row.span();
   in.varphi_row = varphi_row.span();
   in.utility = &utility;
-  const Vec solution = solve_lambda_block(in, Vec{0.0, 0.0}, tight_inner());
+  const Vec solution = lambda_block(in, Vec{0.0, 0.0}, tight_inner());
   EXPECT_DOUBLE_EQ(solution[0], 0.0);
   EXPECT_DOUBLE_EQ(solution[1], 0.0);
 }
@@ -99,7 +117,7 @@ TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
   in.latency_weight = 10.0;
   in.utility = &utility;
 
-  const Vec solution = solve_lambda_block(in, Vec(n, 0.0), tight_inner());
+  const Vec solution = lambda_block(in, Vec(n, 0.0), tight_inner());
 
   auto gradient = [&](const Vec& lambda) {
     const double avg_latency = dot(lambda, latency) / in.arrival;
@@ -294,7 +312,7 @@ TEST_P(ABlockProperty, SatisfiesFirstOrderConditions) {
   in.rho = rng.uniform(0.2, 10.0);
   in.capacity = rng.uniform(0.5, 3.0);
 
-  const Vec solution = solve_a_block(in, Vec(m, 0.0), tight_inner());
+  const Vec solution = a_block(in, Vec(m, 0.0), tight_inner());
 
   // Feasibility.
   double total = 0.0;
@@ -366,9 +384,9 @@ TEST(InnerSolverAblation, FistaAndPgAgree) {
   InnerSolverOptions exact = tight_inner();
   exact.method = InnerMethod::Exact;
 
-  const Vec a = solve_lambda_block(in, Vec(3, 0.0), fista);
-  const Vec b = solve_lambda_block(in, Vec(3, 0.0), pg);
-  const Vec c = solve_lambda_block(in, Vec(3, 0.0), exact);
+  const Vec a = lambda_block(in, Vec(3, 0.0), fista);
+  const Vec b = lambda_block(in, Vec(3, 0.0), pg);
+  const Vec c = lambda_block(in, Vec(3, 0.0), exact);
   EXPECT_LT(max_abs_diff(a, b), 1e-7);
   EXPECT_LT(max_abs_diff(a, c), 1e-7);
 }
@@ -395,8 +413,8 @@ TEST(InnerSolverAblation, ExactMatchesFistaOnABlock) {
 
     InnerSolverOptions exact = tight_inner();
     exact.method = InnerMethod::Exact;
-    const Vec a = solve_a_block(in, Vec(m, 0.0), tight_inner());
-    const Vec b = solve_a_block(in, Vec(m, 0.0), exact);
+    const Vec a = a_block(in, Vec(m, 0.0), tight_inner());
+    const Vec b = a_block(in, Vec(m, 0.0), exact);
     EXPECT_LT(max_abs_diff(a, b), 1e-6) << "trial " << trial;
   }
 }
@@ -417,8 +435,8 @@ TEST(InnerSolverAblation, ExactFallsBackForNonQuadraticUtility) {
 
   InnerSolverOptions exact = tight_inner();
   exact.method = InnerMethod::Exact;
-  const Vec a = solve_lambda_block(in, Vec(2, 0.0), tight_inner());
-  const Vec b = solve_lambda_block(in, Vec(2, 0.0), exact);
+  const Vec a = lambda_block(in, Vec(2, 0.0), tight_inner());
+  const Vec b = lambda_block(in, Vec(2, 0.0), exact);
   EXPECT_LT(max_abs_diff(a, b), 1e-9);
 }
 

@@ -15,6 +15,14 @@ Message make_message(NodeId src, NodeId dst, double value) {
   return msg;
 }
 
+// Reliable transport with per-attempt message loss, reproducible per seed.
+BusConfig lossy_config(double loss_rate, std::uint64_t seed) {
+  BusConfig config;
+  config.seed = seed;
+  config.faults.random_faults({.loss_rate = loss_rate});
+  return config;
+}
+
 TEST(MessageBus, DeliversFifoPerDestination) {
   MessageBus bus;
   bus.send(make_message(front_end_id(0), datacenter_id(0), 1.0));
@@ -56,7 +64,7 @@ TEST(MessageBus, CountsMessagesAndBytes) {
 }
 
 TEST(MessageBus, LossInjectionRetransmitsButAlwaysDelivers) {
-  MessageBus bus(0.5, 99);
+  MessageBus bus(lossy_config(0.5, 99));
   const auto msg = make_message(front_end_id(0), datacenter_id(0), 7.0);
   for (int k = 0; k < 200; ++k) bus.send(msg);
   // Every message arrives despite 50% per-attempt loss.
@@ -71,7 +79,7 @@ TEST(MessageBus, LossInjectionRetransmitsButAlwaysDelivers) {
 }
 
 TEST(MessageBus, LossIsDeterministicPerSeed) {
-  MessageBus a(0.3, 7), b(0.3, 7);
+  MessageBus a(lossy_config(0.3, 7)), b(lossy_config(0.3, 7));
   const auto msg = make_message(front_end_id(0), datacenter_id(0), 1.0);
   for (int k = 0; k < 100; ++k) {
     a.send(msg);
@@ -99,8 +107,8 @@ TEST(MessageBus, ResetStatsClearsCounters) {
 }
 
 TEST(MessageBus, InvalidLossRateThrows) {
-  EXPECT_THROW(MessageBus(-0.1), ContractViolation);
-  EXPECT_THROW(MessageBus(1.0), ContractViolation);
+  EXPECT_THROW(MessageBus(lossy_config(-0.1, 1)), ContractViolation);
+  EXPECT_THROW(MessageBus(lossy_config(1.0, 1)), ContractViolation);
 }
 
 }  // namespace

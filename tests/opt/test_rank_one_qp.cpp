@@ -16,6 +16,22 @@
 namespace ufc {
 namespace {
 
+// The exact solvers write into caller-owned buffers; these return the
+// minimizer as a Vec, solved through a fresh scratch and without a hint.
+Vec solve_simplex(const RankOneQp& qp, double total) {
+  Vec out(qp.direction.size());
+  RankOneQpScratch scratch;
+  solve_rank_one_qp_simplex_into(qp, total, out.span(), scratch);
+  return out;
+}
+
+Vec solve_capped(const RankOneQp& qp, double cap) {
+  Vec out(qp.direction.size());
+  RankOneQpScratch scratch;
+  solve_rank_one_qp_capped_into(qp, cap, out.span(), scratch);
+  return out;
+}
+
 RankOneQp random_qp(Rng& rng, std::size_t n) {
   RankOneQp qp;
   qp.curvature = rng.uniform(0.0, 50.0);
@@ -55,7 +71,7 @@ TEST(RankOneQp, PureTikhonovHasClosedForm) {
   qp.tikhonov = 2.0;
   qp.direction = Vec{0.0, 0.0, 0.0};
   qp.linear = Vec{-4.0, -2.0, 6.0};
-  const Vec x = solve_rank_one_qp_simplex(qp, 1.0);
+  const Vec x = solve_simplex(qp, 1.0);
   const Vec expected = project_simplex(Vec{2.0, 1.0, -3.0}, 1.0);
   EXPECT_LT(max_abs_diff(x, expected), 1e-10);
 }
@@ -66,10 +82,10 @@ TEST(RankOneQp, ZeroTotalReturnsZeros) {
   qp.tikhonov = 1.0;
   qp.direction = Vec{1.0, 2.0};
   qp.linear = Vec{0.0, 0.0};
-  const Vec x = solve_rank_one_qp_simplex(qp, 0.0);
+  const Vec x = solve_simplex(qp, 0.0);
   EXPECT_DOUBLE_EQ(x[0], 0.0);
   EXPECT_DOUBLE_EQ(x[1], 0.0);
-  const Vec y = solve_rank_one_qp_capped(qp, 0.0);
+  const Vec y = solve_capped(qp, 0.0);
   EXPECT_DOUBLE_EQ(y[0], 0.0);
 }
 
@@ -82,7 +98,7 @@ TEST_P(RankOneQpSimplexProperty, MatchesFistaToHighPrecision) {
   const RankOneQp qp = random_qp(rng, n);
   const double total = rng.uniform(0.1, 10.0);
 
-  const Vec exact = solve_rank_one_qp_simplex(qp, total);
+  const Vec exact = solve_simplex(qp, total);
   // Feasibility.
   double s = 0.0;
   for (double v : exact) {
@@ -109,7 +125,7 @@ TEST_P(RankOneQpCappedProperty, FeasibleAndBeatsRandomFeasiblePoints) {
   const RankOneQp qp = random_qp(rng, n);
   const double cap = rng.uniform(0.1, 10.0);
 
-  const Vec exact = solve_rank_one_qp_capped(qp, cap);
+  const Vec exact = solve_capped(qp, cap);
   double s = 0.0;
   for (double v : exact) {
     EXPECT_GE(v, -1e-12);
@@ -143,8 +159,8 @@ TEST(RankOneQp, CappedReducesToSimplexWhenCapBinds) {
     return q;
   }();
   const double cap = 0.5;
-  const Vec capped = solve_rank_one_qp_capped(qp, cap);
-  const Vec simplex = solve_rank_one_qp_simplex(qp, cap);
+  const Vec capped = solve_capped(qp, cap);
+  const Vec simplex = solve_simplex(qp, cap);
   EXPECT_LT(max_abs_diff(capped, simplex), 1e-9);
   EXPECT_NEAR(sum(capped), cap, 1e-9);
 }
@@ -156,7 +172,7 @@ TEST(RankOneQp, CappedStaysInteriorWhenOptimal) {
   qp.tikhonov = 1.0;
   qp.direction = Vec{1.0, 1.0};
   qp.linear = Vec{3.0, 4.0};
-  const Vec x = solve_rank_one_qp_capped(qp, 100.0);
+  const Vec x = solve_capped(qp, 100.0);
   EXPECT_NEAR(x[0], 0.0, 1e-12);
   EXPECT_NEAR(x[1], 0.0, 1e-12);
 }
@@ -204,8 +220,8 @@ void expect_kkt(const RankOneQp& qp, const Vec& x, bool capped, double bound) {
 /// within 1e-9 max(1, bound), both feasible and the closed form KKT.
 void expect_matches_reference(const RankOneQp& qp, double bound,
                               bool capped) {
-  const Vec x = capped ? solve_rank_one_qp_capped(qp, bound)
-                       : solve_rank_one_qp_simplex(qp, bound);
+  const Vec x = capped ? solve_capped(qp, bound)
+                       : solve_simplex(qp, bound);
   const Vec r = capped ? solve_rank_one_qp_capped_reference(qp, bound)
                        : solve_rank_one_qp_simplex_reference(qp, bound);
   const double fx = rank_one_qp_value(qp, x);
@@ -282,11 +298,11 @@ TEST(RankOneQpClosedForm, ZeroCurvatureAndSingleCoordinate) {
   one.tikhonov = 0.7;
   one.direction = Vec{0.03};
   one.linear = Vec{-1.5};
-  const Vec x = solve_rank_one_qp_simplex(one, 3.0);
+  const Vec x = solve_simplex(one, 3.0);
   EXPECT_DOUBLE_EQ(x[0], 3.0);
   expect_matches_reference(one, 3.0, false);
   // Capped, n = 1: the free optimum -g / (rho + c v^2) when below the cap.
-  const Vec y = solve_rank_one_qp_capped(one, 100.0);
+  const Vec y = solve_capped(one, 100.0);
   EXPECT_NEAR(y[0], 1.5 / (0.7 + 4.0 * 0.03 * 0.03), 1e-12);
   expect_matches_reference(one, 100.0, true);
   expect_matches_reference(one, 0.5, true);
@@ -309,11 +325,11 @@ TEST(RankOneQpClosedForm, CapExactlyAtTheUnconstrainedSum) {
   for (int trial = 0; trial < 20; ++trial) {
     RankOneQp qp = random_qp(rng, 8);
     for (std::size_t i = 0; i < 8; ++i) qp.linear[i] -= 5.0;  // mass > 0
-    const Vec free = solve_rank_one_qp_capped(qp, 1e6);
+    const Vec free = solve_capped(qp, 1e6);
     const double cap = sum(free);
     ASSERT_GT(cap, 0.0);
     expect_matches_reference(qp, cap, true);
-    EXPECT_LE(max_abs_diff(solve_rank_one_qp_capped(qp, cap), free),
+    EXPECT_LE(max_abs_diff(solve_capped(qp, cap), free),
               1e-9 * std::max(1.0, cap));
   }
 }
@@ -323,7 +339,7 @@ TEST(RankOneQpClosedForm, CapExactlyAtTheUnconstrainedSum) {
 /// breakpoint with x_4 = 0, and the other three keep their solution.
 RankOneQp add_coordinate_on_the_breakpoint(const RankOneQp& base,
                                            double total, double v4) {
-  const Vec x3 = solve_rank_one_qp_simplex(base, total);
+  const Vec x3 = solve_simplex(base, total);
   const double s = dot(base.direction, x3);
   const std::size_t top = static_cast<std::size_t>(
       std::max_element(x3.begin(), x3.end()) - x3.begin());
@@ -363,10 +379,10 @@ TEST(RankOneQpClosedForm, OptimumOnAnActiveSetBreakpoint) {
   for (int trial = 0; trial < 20; ++trial) {
     const RankOneQp base = breakpoint_base(rng);
     const double total = rng.uniform(0.5, 5.0);
-    const Vec x3 = solve_rank_one_qp_simplex(base, total);
+    const Vec x3 = solve_simplex(base, total);
     const RankOneQp qp =
         add_coordinate_on_the_breakpoint(base, total, rng.uniform(0.0, 0.1));
-    const Vec x4 = solve_rank_one_qp_simplex(qp, total);
+    const Vec x4 = solve_simplex(qp, total);
     EXPECT_NEAR(x4[3], 0.0, 1e-9 * total);
     for (std::size_t i = 0; i < 3; ++i)
       EXPECT_NEAR(x4[i], x3[i], 1e-9 * total);
@@ -432,7 +448,7 @@ TEST(RankOneQpClosedForm, TinyTotalKeepsItsSum) {
       qp.tikhonov = 0.3;
       qp.direction = Vec{0.01, 0.02, 0.03};
       qp.linear = Vec{1000.0, 1001.0, 1002.0};
-      const Vec x = solve_rank_one_qp_simplex(qp, total);
+      const Vec x = solve_simplex(qp, total);
       EXPECT_NEAR(sum(x), total, 1e-12 * total)
           << "c = " << curvature << ", total = " << total;
       for (double e : x) EXPECT_GE(e, 0.0);
@@ -450,7 +466,7 @@ TEST(RankOneQpClosedForm, StiffCouplingKeepsItsSum) {
   qp.direction = Vec{6.7, 0.03};
   qp.linear = Vec{-100.0, 0.0};
   const double total = 1e-6;
-  const Vec x = solve_rank_one_qp_simplex(qp, total);
+  const Vec x = solve_simplex(qp, total);
   EXPECT_NEAR(x[0], total, 1e-12 * total);
   EXPECT_EQ(x[1], 0.0);
 }
@@ -485,7 +501,7 @@ TEST(RankOneQpClosedForm, FindsAPieceNarrowerThanAnyFixedTolerance) {
   // system.
   const RankOneQp qp = narrow_piece_qp();
   const double total = kNarrowPieceTotal;
-  const Vec x = solve_rank_one_qp_simplex(qp, total);
+  const Vec x = solve_simplex(qp, total);
   // Inputs of size 0.5 carry rounding of ~1e-16, which rho total = 2e-11
   // turns into a few 1e-6 relative.
   for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(x[i], 0.0) << i;
@@ -509,9 +525,9 @@ TEST(RankOneQpClosedForm, IntoMatchesWrapperWithoutReallocating) {
     const double bound = rng.uniform(0.1, 5.0);
     Vec x(n);
     solve_rank_one_qp_simplex_into(qp, bound, x.span(), scratch);
-    EXPECT_EQ(x.raw(), solve_rank_one_qp_simplex(qp, bound).raw());
+    EXPECT_EQ(x.raw(), solve_simplex(qp, bound).raw());
     solve_rank_one_qp_capped_into(qp, bound, x.span(), scratch);
-    EXPECT_EQ(x.raw(), solve_rank_one_qp_capped(qp, bound).raw());
+    EXPECT_EQ(x.raw(), solve_capped(qp, bound).raw());
     EXPECT_EQ(scratch.thresholds.data(), thresholds);
     EXPECT_EQ(scratch.selection.data(), selection);
   }
@@ -763,15 +779,15 @@ TEST(RankOneQp, InvalidInputsThrow) {
   qp.direction = Vec{1.0};
   qp.linear = Vec{0.0};
   qp.tikhonov = 0.0;
-  EXPECT_THROW(solve_rank_one_qp_simplex(qp, 1.0), ContractViolation);
+  EXPECT_THROW(solve_simplex(qp, 1.0), ContractViolation);
   qp.tikhonov = 1.0;
   qp.curvature = -1.0;
-  EXPECT_THROW(solve_rank_one_qp_simplex(qp, 1.0), ContractViolation);
+  EXPECT_THROW(solve_simplex(qp, 1.0), ContractViolation);
   qp.curvature = 1.0;
   qp.direction = Vec{-1.0};
-  EXPECT_THROW(solve_rank_one_qp_capped(qp, 1.0), ContractViolation);
+  EXPECT_THROW(solve_capped(qp, 1.0), ContractViolation);
   qp.direction = Vec{1.0};
-  EXPECT_THROW(solve_rank_one_qp_simplex(qp, -1.0), ContractViolation);
+  EXPECT_THROW(solve_simplex(qp, -1.0), ContractViolation);
   RankOneQpScratch scratch;
   Vec wrong_size(2);
   EXPECT_THROW(solve_rank_one_qp_simplex_into(qp, 1.0, wrong_size.span(),
