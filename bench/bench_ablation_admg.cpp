@@ -12,35 +12,44 @@
 
 namespace {
 
+/// Per-variant totals over the representative slots: add() every slot's
+/// report, then finish() turns the iteration and convergence sums into means.
 struct VariantResult {
   double mean_iterations = 0.0;
   double max_iterations = 0.0;
   double converged_fraction = 0.0;
   double ufc_total = 0.0;
+  std::size_t runs = 0;
+
+  void add(const ufc::admm::AdmgReport& report) {
+    mean_iterations += report.iterations;
+    max_iterations =
+        std::max(max_iterations, static_cast<double>(report.iterations));
+    converged_fraction += report.converged ? 1.0 : 0.0;
+    ufc_total += report.breakdown.ufc;
+    ++runs;
+  }
+
+  const VariantResult& finish() {
+    mean_iterations /= static_cast<double>(runs);
+    converged_fraction /= static_cast<double>(runs);
+    return *this;
+  }
 };
 
 VariantResult run_variant(const ufc::traces::Scenario& scenario,
                           const ufc::admm::AdmgOptions& options,
                           const std::vector<int>& slots) {
   VariantResult result;
-  for (int slot : slots) {
-    const auto report =
-        ufc::admm::solve_admg(scenario.problem_at(slot), options);
-    result.mean_iterations += report.iterations;
-    result.max_iterations =
-        std::max(result.max_iterations, static_cast<double>(report.iterations));
-    result.converged_fraction += report.converged ? 1.0 : 0.0;
-    result.ufc_total += report.breakdown.ufc;
-  }
-  result.mean_iterations /= static_cast<double>(slots.size());
-  result.converged_fraction /= static_cast<double>(slots.size());
+  for (int slot : slots)
+    result.add(ufc::admm::solve_admg(scenario.problem_at(slot), options));
+  result.finish();
   return result;
 }
 
 }  // namespace
 
-int main() {
-  using namespace ufc;
+int ufc::bench::ablation_admg() {
   bench::print_header("Ablations - ADM-G design choices",
                       "correction step, epsilon, rho, inner solver, baseline");
 
@@ -115,26 +124,11 @@ int main() {
     for (int slot : slots) {
       auto problem = scenario.problem_at(slot);
       for (auto& dc : problem.datacenters) dc.emission_cost = stepped;
-      const auto a = admm::solve_admg(problem, admg_stepped);
-      const auto b = admm::solve_admg(problem, plain_stepped);
-      corrected.mean_iterations += a.iterations;
-      corrected.max_iterations =
-          std::max(corrected.max_iterations, static_cast<double>(a.iterations));
-      corrected.converged_fraction += a.converged ? 1.0 : 0.0;
-      corrected.ufc_total += a.breakdown.ufc;
-      uncorrected.mean_iterations += b.iterations;
-      uncorrected.max_iterations = std::max(
-          uncorrected.max_iterations, static_cast<double>(b.iterations));
-      uncorrected.converged_fraction += b.converged ? 1.0 : 0.0;
-      uncorrected.ufc_total += b.breakdown.ufc;
+      corrected.add(admm::solve_admg(problem, admg_stepped));
+      uncorrected.add(admm::solve_admg(problem, plain_stepped));
     }
-    const auto count = static_cast<double>(slots.size());
-    corrected.mean_iterations /= count;
-    corrected.converged_fraction /= count;
-    uncorrected.mean_iterations /= count;
-    uncorrected.converged_fraction /= count;
-    report_variant("stepped tax, ADM-G", corrected);
-    report_variant("stepped tax, plain ADMM", uncorrected);
+    report_variant("stepped tax, ADM-G", corrected.finish());
+    report_variant("stepped tax, plain ADMM", uncorrected.finish());
   }
   {
     // Warm starting across consecutive hours (operational optimization; the
@@ -145,17 +139,10 @@ int main() {
     bool first = true;
     for (int slot : slots) {
       if (!first) solver.set_problem(scenario.problem_at(slot));
-      const auto report = first ? solver.solve() : solver.solve_warm();
+      warm.add(first ? solver.solve() : solver.solve_warm());
       first = false;
-      warm.mean_iterations += report.iterations;
-      warm.max_iterations = std::max(warm.max_iterations,
-                                     static_cast<double>(report.iterations));
-      warm.converged_fraction += report.converged ? 1.0 : 0.0;
-      warm.ufc_total += report.breakdown.ufc;
     }
-    warm.mean_iterations /= static_cast<double>(slots.size());
-    warm.converged_fraction /= static_cast<double>(slots.size());
-    report_variant("warm start across slots", warm);
+    report_variant("warm start across slots", warm.finish());
   }
   table.print();
 

@@ -5,8 +5,7 @@
 #include "admm/rightsizing.hpp"
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::ablation_rightsizing() {
   bench::print_header(
       "Ablation - always-on fleets vs server right-sizing",
       "paper keeps S_j fixed; its Remark sketches the shutdown extension");

@@ -6,8 +6,7 @@
 #include "admm/async.hpp"
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::async_participation() {
   bench::print_header(
       "Extension - straggling front-ends (randomized participation)",
       "synchronous ADM-G analysis; robustness beyond it measured here");

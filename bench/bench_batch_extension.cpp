@@ -7,8 +7,7 @@
 #include "bench_common.hpp"
 #include "sim/batch.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::batch_extension() {
   bench::print_header(
       "Extension - deferrable batch workload over the hybrid strategy",
       "paper models interactive-only load; related work defers batch");

@@ -1,26 +1,56 @@
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the ufc_bench experiments.
 //
-// Every binary prints the paper-style table/series to stdout and writes a
-// CSV (named ufc_<experiment>.csv) into the current working directory so
-// plots can be regenerated offline. Instrumented benches additionally write
-// their headline numbers into the machine-readable BENCH_ufc.json artifact
-// (schema ufc-bench-v1, validated by scripts/check_bench_json.py), keyed by
-// bench name so re-runs update in place.
+// Every experiment prints the paper-style table/series to stdout and writes
+// a CSV (named ufc_<experiment>.csv) into the current working directory so
+// plots can be regenerated offline. Instrumented experiments additionally
+// write their headline numbers into the machine-readable BENCH_ufc.json
+// artifact (schema ufc-bench-v1, validated by scripts/check_bench_json.py),
+// keyed by bench name so re-runs update in place.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "model/problem.hpp"
 #include "obs/manifest.hpp"
 #include "sim/simulator.hpp"
 #include "traces/scenario.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace ufc::bench {
+
+// The experiments, one per bench_<name>.cpp; ufc_bench.cpp registers each
+// under its name. Each returns its exit status (0 on success).
+int table1_energy_cost();
+int fig1_traces();
+int fig2_protocol();
+int fig3_traces();
+int fig4_ufc_improvement();
+int fig5_latency();
+int fig6_energy_cost();
+int fig7_carbon_cost();
+int fig8_utilization();
+int fig9_price_sweep();
+int fig10_tax_sweep();
+int fig11_convergence_cdf();
+int seed_robustness();
+int ablation_admg();
+int ablation_rightsizing();
+int async_participation();
+int batch_extension();
+int forecast_robustness();
+int storage_extension();
+int faults();
+int parallel_scaling();
+int ingredients();
+int socket_bus();
+int controller();
 
 /// The paper's evaluation scenario (§IV-A defaults, seed 42).
 inline traces::Scenario paper_scenario() {
@@ -30,6 +60,47 @@ inline traces::Scenario paper_scenario() {
 /// Paper-scale solver settings (tolerance chosen so the Fig. 11 iteration
 /// distribution lands in the paper's band; see DESIGN.md).
 inline sim::SimulatorOptions paper_options() { return {}; }
+
+/// The §IV one-week, three-strategy comparison behind Figs. 4-8, solved
+/// once per process on the first call.
+inline const sim::StrategyComparison& paper_week() {
+  static const sim::StrategyComparison week =
+      sim::compare_strategies(paper_scenario(), paper_options());
+  return week;
+}
+
+/// Random feasible M x N instance: N datacenters with drawn sizes, prices
+/// and carbon rates, M front-ends sharing `load` of the total capacity.
+/// Fixed seeds, so every caller at the same (m, n, load) gets the same
+/// problem bit for bit.
+inline UfcProblem random_problem(std::size_t m, std::size_t n, double load) {
+  Rng rng(1234);
+  UfcProblem p;
+  p.power = ServerPowerModel{100.0, 200.0};
+  p.fuel_cell_price = 80.0;
+  p.latency_weight = 10.0;
+  p.utility = std::make_shared<QuadraticUtility>();
+  double capacity = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    DatacenterSpec dc;
+    dc.name = "dc" + std::to_string(j);
+    dc.servers = rng.uniform(1.7e4, 2.3e4);
+    dc.grid_price = rng.uniform(15.0, 120.0);
+    dc.carbon_rate = rng.uniform(200.0, 900.0);
+    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
+    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
+    capacity += dc.servers;
+    p.datacenters.push_back(std::move(dc));
+  }
+  Rng shares_rng(7);
+  p.arrivals =
+      normal_shares(shares_rng, static_cast<int>(m), load * capacity, 0.35);
+  p.latency_s = Mat(m, n);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
+  return p;
+}
 
 inline void print_header(const std::string& title, const std::string& paper) {
   std::cout << "=== " << title << " ===\n";

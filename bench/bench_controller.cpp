@@ -48,9 +48,7 @@ int bench_ticks(int available) {
 
 }  // namespace
 
-int main() {
-  using namespace ufc;
-
+int ufc::bench::controller() {
   bench::print_header("Receding-horizon warm starts vs cold restarts",
                       "streaming re-solve, one week of hourly ticks");
 

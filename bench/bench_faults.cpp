@@ -8,41 +8,8 @@
 #include <string>
 
 #include "net/runtime.hpp"
-#include "util/rng.hpp"
 
 namespace {
-
-/// Random feasible instance at ~55% load so that removing any single
-/// datacenter (the crash sweep) keeps the reduced problem feasible.
-ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
-  using namespace ufc;
-  Rng rng(1234);
-  UfcProblem p;
-  p.power = ServerPowerModel{100.0, 200.0};
-  p.fuel_cell_price = 80.0;
-  p.latency_weight = 10.0;
-  p.utility = std::make_shared<QuadraticUtility>();
-  double capacity = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    DatacenterSpec dc;
-    dc.name = "dc" + std::to_string(j);
-    dc.servers = rng.uniform(1.7e4, 2.3e4);
-    dc.grid_price = rng.uniform(15.0, 120.0);
-    dc.carbon_rate = rng.uniform(200.0, 900.0);
-    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
-    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
-    capacity += dc.servers;
-    p.datacenters.push_back(std::move(dc));
-  }
-  Rng shares_rng(7);
-  p.arrivals =
-      normal_shares(shares_rng, static_cast<int>(m), 0.55 * capacity, 0.35);
-  p.latency_s = Mat(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
-  return p;
-}
 
 ufc::net::DistributedOptions degraded_options() {
   ufc::net::DistributedOptions dist;
@@ -62,8 +29,7 @@ struct SweepRow {
 
 }  // namespace
 
-int main() {
-  using namespace ufc;
+int ufc::bench::faults() {
   bench::print_header(
       "Robustness - degraded distributed ADM-G under injected faults",
       "n/a (robustness benchmark beyond the paper's fault-free protocol)");
@@ -80,7 +46,9 @@ int main() {
   const std::pair<std::size_t, std::size_t> sizes[] = {{4, 3}, {10, 4},
                                                        {20, 6}};
   for (const auto& [m, n] : sizes) {
-    const auto problem = random_problem(m, n);
+    // ~55% load, so that removing any single datacenter (the crash sweep)
+    // keeps the reduced problem feasible.
+    const auto problem = bench::random_problem(m, n, 0.55);
 
     // Zero-fault baseline: strict lockstep, bit-identical to the monolithic
     // solver. All gaps and inflation factors below are relative to this row.

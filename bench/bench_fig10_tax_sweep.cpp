@@ -5,8 +5,7 @@
 #include "bench_common.hpp"
 #include "sim/sweep.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig10_tax_sweep() {
   bench::print_header(
       "Fig. 10 - average UFC improvement and utilization vs carbon tax",
       "utilization -> ~100% near 140 $/ton; today's 5-39 $/ton fails (<20%)");

@@ -6,8 +6,7 @@
 #include "admm/centralized.hpp"
 #include "obs/metrics_observer.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig11_convergence_cdf() {
   bench::print_header(
       "Fig. 11 - CDF of iterations to convergence (168 runs)",
       "80% within 100 iterations; min 37; max 130");

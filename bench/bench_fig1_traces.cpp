@@ -2,8 +2,7 @@
 // San Jose electricity prices that motivate the hybrid strategy.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig1_traces() {
   bench::print_header("Fig. 1 - demand profile and electricity prices",
                       "Facebook demand ~2 MW; Dallas cheap, San Jose dear");
 

@@ -5,8 +5,7 @@
 #include "bench_common.hpp"
 #include "net/runtime.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig2_protocol() {
   bench::print_header(
       "Fig. 2 - information interaction of the distributed ADM-G",
       "per iteration: FE->DC routing proposals, DC->FE assignments");

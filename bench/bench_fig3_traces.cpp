@@ -2,8 +2,7 @@
 // per-site electricity prices and per-site carbon emission rates.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig3_traces() {
   bench::print_header(
       "Fig. 3 - workload, electricity price and carbon rate traces",
       "diurnal workload; spatially diverse prices and carbon rates");

@@ -3,15 +3,13 @@
 // Grid).
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig4_ufc_improvement() {
   bench::print_header(
       "Fig. 4 - UFC improvement under various strategies",
       "I_fg down to -150% off-peak, <= ~30% at peaks; I_hf > 40% avg; "
       "I_hg in [0%, ~50%]");
 
-  const auto scenario = bench::paper_scenario();
-  const auto cmp = sim::compare_strategies(scenario, bench::paper_options());
+  const auto& cmp = bench::paper_week();
 
   TablePrinter table({"Index", "mean %", "min %", "max %", "p95 %"});
   table.add_row("I_hg (Hybrid vs Grid)",

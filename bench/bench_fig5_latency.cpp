@@ -4,14 +4,12 @@
 #include "bench_common.hpp"
 #include "model/queueing.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig5_latency() {
   bench::print_header(
       "Fig. 5 - average propagation latency under various strategies",
       "FuelCell 14-16 ms, Hybrid 14-17 ms, Grid up to 23 ms");
 
-  const auto scenario = bench::paper_scenario();
-  const auto cmp = sim::compare_strategies(scenario, bench::paper_options());
+  const auto& cmp = bench::paper_week();
 
   TablePrinter table({"Strategy", "mean ms", "min ms", "max ms", "p95 ms"});
   for (const auto* week : {&cmp.grid, &cmp.fuel_cell, &cmp.hybrid}) {
@@ -26,7 +24,7 @@ int main() {
   // Validate the paper's modeling assumption that propagation dominates
   // in-datacenter queueing (§II-B3), on a peak-hour hybrid solution.
   {
-    const auto problem = scenario.problem_at(64);
+    const auto problem = bench::paper_scenario().problem_at(64);
     const auto report =
         admm::solve_strategy(problem, admm::Strategy::Hybrid,
                              bench::paper_options().admg);

@@ -3,14 +3,12 @@
 // grid at off-peak hours.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig6_energy_cost() {
   bench::print_header(
       "Fig. 6 - energy cost under various strategies",
       "FuelCell highest; Hybrid ~60% below FuelCell; Hybrid==Grid off-peak");
 
-  const auto scenario = bench::paper_scenario();
-  const auto cmp = sim::compare_strategies(scenario, bench::paper_options());
+  const auto& cmp = bench::paper_week();
 
   TablePrinter table({"Strategy", "total $", "mean $/h", "max $/h"});
   for (const auto* week : {&cmp.grid, &cmp.fuel_cell, &cmp.hybrid}) {

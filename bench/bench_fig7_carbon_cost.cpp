@@ -2,14 +2,12 @@
 // grid (low tax keeps grid power attractive); fuel-cell-only is carbon-free.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig7_carbon_cost() {
   bench::print_header(
       "Fig. 7 - carbon emission cost under various strategies",
       "Hybrid close to Grid; carbon cost well below energy cost");
 
-  const auto scenario = bench::paper_scenario();
-  const auto cmp = sim::compare_strategies(scenario, bench::paper_options());
+  const auto& cmp = bench::paper_week();
 
   TablePrinter table(
       {"Strategy", "carbon $ total", "carbon tons", "energy $ total"});

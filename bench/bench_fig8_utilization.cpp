@@ -3,15 +3,12 @@
 // current prices, low on average.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig8_utilization() {
   bench::print_header(
       "Fig. 8 - fuel cell utilization at each time period",
       "wild fluctuation; average ~16.2%; rarely above 70%");
 
-  const auto scenario = bench::paper_scenario();
-  const auto hybrid = sim::run_strategy_week(scenario, admm::Strategy::Hybrid,
-                                             bench::paper_options());
+  const auto& hybrid = bench::paper_week().hybrid;
   const auto utilization = hybrid.utilization_series();
 
   TablePrinter table({"Metric", "value"});

@@ -6,8 +6,7 @@
 #include "bench_common.hpp"
 #include "sim/sweep.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::fig9_price_sweep() {
   bench::print_header(
       "Fig. 9 - average UFC improvement and utilization vs fuel cell price",
       "utilization -> 100% at ~27 $/MWh; poor (11-16%) at today's 80-110");

@@ -4,8 +4,7 @@
 #include "bench_common.hpp"
 #include "sim/forecast_study.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::forecast_robustness() {
   bench::print_header(
       "Extension - planning on forecasted arrivals",
       "paper assumes near-term arrivals 'can be predicted quite accurately'");

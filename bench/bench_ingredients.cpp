@@ -25,41 +25,8 @@
 #include <vector>
 
 #include "admm/admg.hpp"
-#include "util/rng.hpp"
 
 namespace {
-
-// Same generator (and seeds) as bench_parallel_scaling, so sizes here are
-// directly comparable with the scaling-frontier rows.
-ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
-  using namespace ufc;
-  Rng rng(1234);
-  UfcProblem p;
-  p.power = ServerPowerModel{100.0, 200.0};
-  p.fuel_cell_price = 80.0;
-  p.latency_weight = 10.0;
-  p.utility = std::make_shared<QuadraticUtility>();
-  double capacity = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    DatacenterSpec dc;
-    dc.name = "dc" + std::to_string(j);
-    dc.servers = rng.uniform(1.7e4, 2.3e4);
-    dc.grid_price = rng.uniform(15.0, 120.0);
-    dc.carbon_rate = rng.uniform(200.0, 900.0);
-    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
-    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
-    capacity += dc.servers;
-    p.datacenters.push_back(std::move(dc));
-  }
-  Rng shares_rng(7);
-  p.arrivals =
-      normal_shares(shares_rng, static_cast<int>(m), 0.6 * capacity, 0.35);
-  p.latency_s = Mat(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
-  return p;
-}
 
 struct Composition {
   const char* penalty;
@@ -111,9 +78,7 @@ RunResult run_composition(const ufc::UfcProblem& problem,
 
 }  // namespace
 
-int main() {
-  using namespace ufc;
-
+int ufc::bench::ingredients() {
   bench::print_header("Solver-ingredient iteration frontier",
                       "ADM-G compositions (docs/SOLVER_INGREDIENTS.md)");
 
@@ -133,7 +98,9 @@ int main() {
   obs::JsonValue frontier = obs::JsonValue::array();
 
   for (const bench::BenchSize& size : sizes) {
-    const UfcProblem problem = random_problem(size.m, size.n);
+    // The parallel_scaling instance, so sizes here compare directly with
+    // the scaling-frontier rows.
+    const UfcProblem problem = bench::random_problem(size.m, size.n, 0.6);
     std::cout << "-- " << size.m << " front-ends x " << size.n
               << " datacenters (max " << size.iterations << " iterations)\n";
     TablePrinter table({"penalty", "acceleration", "iters", "converged",

@@ -5,6 +5,7 @@
 
 #include "admm/admg.hpp"
 #include "admm/blocks.hpp"
+#include "bench_common.hpp"
 #include "math/projections.hpp"
 #include "net/runtime.hpp"
 #include "traces/scenario.hpp"
@@ -12,35 +13,6 @@
 
 namespace ufc {
 namespace {
-
-UfcProblem random_problem(std::size_t m, std::size_t n) {
-  Rng rng(1234);
-  UfcProblem p;
-  p.power = ServerPowerModel{100.0, 200.0};
-  p.fuel_cell_price = 80.0;
-  p.latency_weight = 10.0;
-  p.utility = std::make_shared<QuadraticUtility>();
-  double capacity = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    DatacenterSpec dc;
-    dc.name = "dc" + std::to_string(j);
-    dc.servers = rng.uniform(1.7e4, 2.3e4);
-    dc.grid_price = rng.uniform(15.0, 120.0);
-    dc.carbon_rate = rng.uniform(200.0, 900.0);
-    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
-    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
-    capacity += dc.servers;
-    p.datacenters.push_back(std::move(dc));
-  }
-  Rng shares_rng(7);
-  p.arrivals = normal_shares(shares_rng, static_cast<int>(m), 0.6 * capacity,
-                             0.35);
-  p.latency_s = Mat(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
-  return p;
-}
 
 void BM_SimplexProjection(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -137,7 +109,7 @@ BENCHMARK(BM_NuBlockPolicies)->Arg(0)->Arg(1);
 void BM_AdmgIteration(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
-  const auto problem = random_problem(m, n);
+  const auto problem = bench::random_problem(m, n, 0.6);
   admm::AdmgSolver solver(problem);
   for (auto _ : state) {
     solver.step();
@@ -165,7 +137,7 @@ void BM_FullSlotSolve(benchmark::State& state) {
 BENCHMARK(BM_FullSlotSolve);
 
 void BM_DistributedRound(benchmark::State& state) {
-  const auto problem = random_problem(10, 4);
+  const auto problem = bench::random_problem(10, 4, 0.6);
   net::DistributedOptions options;
   net::DistributedAdmgRuntime runtime(problem, options);
   int iteration = 0;

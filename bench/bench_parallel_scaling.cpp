@@ -1,108 +1,37 @@
-// Parallel scaling of the ADM-G step, two sweeps:
+// Parallel scaling of the ADM-G step, two sweeps, every ratio taken between
+// rows measured in the same run:
 //
 //  1. Thread scaling: per-iteration wall time vs. the AdmgOptions::threads
-//     knob at three problem scales, against the pre-PR serial baseline (the
-//     allocating, single-threaded step an earlier optimization replaced).
-//     Iterates are bit-identical across thread counts, so every row times
-//     exactly the same arithmetic.
+//     knob at three problem scales, with each row's speedup over the
+//     threads=1 row of its size. Iterates are bit-identical across thread
+//     counts, so every row times exactly the same arithmetic.
 //
 //  2. Size-scaling frontier (docs/PERFORMANCE.md, "Scaling frontier"):
 //     serial per-iteration time up to 4096x256 for the default kernels
 //     (sort projection, bit-pinned) and the fast path (Condat projection +
-//     active-set screening), against the pre-frontier serial baseline.
-//     Each fast-path run is KKT-validated: one extra step is taken from a
-//     snapshot of (a, varphi), and the resulting lambda rows are checked as
-//     projected-gradient fixed points of their sub-problems.
+//     active-set screening), with the fast path's speedup over the default
+//     kernels. Each fast-path run is KKT-validated: one extra step is taken
+//     from a snapshot of (a, varphi), and the resulting lambda rows are
+//     checked as projected-gradient fixed points of their sub-problems.
 //     Override the sizes with UFC_BENCH_SIZES (see bench_common.hpp).
 #include "bench_common.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "admm/admg.hpp"
 #include "opt/kkt.hpp"
-#include "util/rng.hpp"
+#include "util/clock.hpp"
 
 namespace {
 
-ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
-  using namespace ufc;
-  Rng rng(1234);
-  UfcProblem p;
-  p.power = ServerPowerModel{100.0, 200.0};
-  p.fuel_cell_price = 80.0;
-  p.latency_weight = 10.0;
-  p.utility = std::make_shared<QuadraticUtility>();
-  double capacity = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    DatacenterSpec dc;
-    dc.name = "dc" + std::to_string(j);
-    dc.servers = rng.uniform(1.7e4, 2.3e4);
-    dc.grid_price = rng.uniform(15.0, 120.0);
-    dc.carbon_rate = rng.uniform(200.0, 900.0);
-    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
-    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
-    capacity += dc.servers;
-    p.datacenters.push_back(std::move(dc));
-  }
-  Rng shares_rng(7);
-  p.arrivals =
-      normal_shares(shares_rng, static_cast<int>(m), 0.6 * capacity, 0.35);
-  p.latency_s = Mat(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
-  return p;
-}
-
-double us_per_iteration(const ufc::UfcProblem& problem, int threads,
-                        int iterations) {
-  ufc::admm::AdmgOptions options;
-  options.threads = threads;
-  ufc::admm::AdmgSolver solver(problem, options);
-  // Warm the workspace and caches (the first step pays the allocations).
-  for (int k = 0; k < 5; ++k) solver.step();
-  const auto start = std::chrono::steady_clock::now();
-  for (int k = 0; k < iterations; ++k) solver.step();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::micro>(elapsed).count() /
-         static_cast<double>(iterations);
-}
-
-struct Scale {
-  std::size_t m, n;
-  int iterations;
-  /// Pre-PR serial per-iteration time, microseconds: the allocating
-  /// single-threaded step() at commit 7f015e8, measured on this container
-  /// (release build, FISTA inner solver, same random_problem seeds).
-  double pre_pr_serial_us;
-};
-
-/// Serial per-iteration time of the pre-frontier kernels (sort projection,
-/// strided column gathers, no screening) at commit 627702a, measured on this
-/// container (release build, threads=1, warmup 5, same random_problem
-/// seeds). 0.0 = no baseline recorded for this size (custom UFC_BENCH_SIZES
-/// points): the speedup columns are then reported as 0.
-double pre_frontier_serial_us(std::size_t m, std::size_t n) {
-  if (m == 64 && n == 16) return 4735.11;
-  if (m == 256 && n == 32) return 34942.6;
-  if (m == 1024 && n == 128) return 771943.0;
-  if (m == 4096 && n == 256) return 6866200.0;
-  return 0.0;
-}
-
-/// Per-iteration serial wall time with the given options, warming up
-/// `warmup` steps first (first-step allocations + the screening cold start).
-double frontier_us_per_iteration(const ufc::UfcProblem& problem,
-                                 const ufc::admm::AdmgOptions& options,
-                                 int warmup, int iterations) {
-  ufc::admm::AdmgSolver solver(problem, options);
+/// Mean wall time of one step(), in microseconds, over `iterations` steps
+/// taken after `warmup` untimed ones (first-step allocations, the screening
+/// cold start, warm caches).
+double us_per_step(ufc::admm::AdmgSolver& solver, int warmup, int iterations) {
   for (int k = 0; k < warmup; ++k) solver.step();
-  const auto start = std::chrono::steady_clock::now();
+  const ufc::util::MonotonicTimer timer;
   for (int k = 0; k < iterations; ++k) solver.step();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::micro>(elapsed).count() /
-         static_cast<double>(iterations);
+  return 1e6 * timer.elapsed_seconds() / static_cast<double>(iterations);
 }
 
 struct KktSummary {
@@ -157,44 +86,45 @@ KktSummary validate_lambda_kkt(ufc::admm::AdmgSolver& solver) {
 
 }  // namespace
 
-int main() {
-  using namespace ufc;
+int ufc::bench::parallel_scaling() {
   bench::print_header(
       "Parallel scaling - ADM-G step wall time vs. threads",
       "n/a (engineering benchmark; iterates bit-identical across rows)");
 
-  const Scale scales[] = {
-      {16, 4, 2000, 60.3},
-      {64, 16, 200, 5424.5},
-      {256, 32, 40, 38758.2},
+  const bench::BenchSize scales[] = {
+      {16, 4, 2000},
+      {64, 16, 200},
+      {256, 32, 40},
   };
+  // threads = 1 comes first: it is the baseline of every later row.
   const int thread_counts[] = {1, 2, 4, 8};
 
-  TablePrinter table({"M", "N", "threads", "us/iter", "pre-PR serial us",
-                      "speedup vs pre-PR"});
+  TablePrinter table({"M", "N", "threads", "us/iter", "speedup vs 1 thread"});
   CsvWriter csv("ufc_parallel.csv", {"m", "n", "threads", "us_per_iter",
-                                     "pre_pr_serial_us", "speedup_vs_pre_pr"});
+                                     "speedup_vs_serial"});
   obs::JsonValue rows = obs::JsonValue::array();
   for (const auto& scale : scales) {
-    const auto problem = random_problem(scale.m, scale.n);
+    const auto problem = bench::random_problem(scale.m, scale.n, 0.6);
+    double serial_us = 0.0;
     for (int threads : thread_counts) {
-      const double us = us_per_iteration(problem, threads, scale.iterations);
-      const double speedup = scale.pre_pr_serial_us / us;
+      admm::AdmgOptions options;
+      options.threads = threads;
+      admm::AdmgSolver solver(problem, options);
+      const double us = us_per_step(solver, 5, scale.iterations);
+      if (threads == 1) serial_us = us;
+      const double speedup = serial_us / us;
       table.add_row(std::to_string(scale.m),
                     {static_cast<double>(scale.n),
-                     static_cast<double>(threads), us, scale.pre_pr_serial_us,
-                     speedup},
+                     static_cast<double>(threads), us, speedup},
                     2);
       csv.row({static_cast<double>(scale.m), static_cast<double>(scale.n),
-               static_cast<double>(threads), us, scale.pre_pr_serial_us,
-               speedup});
+               static_cast<double>(threads), us, speedup});
       obs::JsonValue row = obs::JsonValue::object();
       row.set("m", obs::JsonValue(static_cast<std::int64_t>(scale.m)));
       row.set("n", obs::JsonValue(static_cast<std::int64_t>(scale.n)));
       row.set("threads", obs::JsonValue(threads));
       row.set("us_per_iter", obs::JsonValue(us));
-      row.set("pre_pr_serial_us", obs::JsonValue(scale.pre_pr_serial_us));
-      row.set("speedup_vs_pre_pr", obs::JsonValue(speedup));
+      row.set("speedup_vs_serial", obs::JsonValue(speedup));
       rows.push_back(std::move(row));
     }
   }
@@ -222,58 +152,46 @@ int main() {
       {4096, 256, 8},
   });
   TablePrinter frontier_table({"M", "N", "default us/iter", "fast us/iter",
-                               "pre-PR us", "default speedup", "fast speedup",
-                               "KKT max res", "KKT pass"});
+                               "fast speedup", "KKT max res", "KKT pass"});
   CsvWriter frontier_csv(
       "ufc_scaling_frontier.csv",
       {"m", "n", "iterations", "default_us_per_iter", "fast_us_per_iter",
-       "pre_pr_us", "default_speedup", "fast_speedup", "kkt_max_residual",
-       "kkt_passed"});
+       "fast_speedup", "kkt_max_residual", "kkt_passed"});
   obs::JsonValue frontier_rows = obs::JsonValue::array();
   for (const auto& size : frontier) {
-    const auto problem = random_problem(size.m, size.n);
+    const auto problem = bench::random_problem(size.m, size.n, 0.6);
     const int warmup = 2;
 
     admm::AdmgOptions defaults;
     defaults.threads = 1;
+    admm::AdmgSolver default_solver(problem, defaults);
     const double default_us =
-        frontier_us_per_iteration(problem, defaults, warmup, size.iterations);
+        us_per_step(default_solver, warmup, size.iterations);
 
     admm::AdmgOptions fast = defaults;
     fast.inner.projection = SimplexProjection::Condat;
     fast.screening.enabled = true;
     admm::AdmgSolver fast_solver(problem, fast);
-    for (int k = 0; k < warmup; ++k) fast_solver.step();
-    const auto start = std::chrono::steady_clock::now();
-    for (int k = 0; k < size.iterations; ++k) fast_solver.step();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double fast_us =
-        std::chrono::duration<double, std::micro>(elapsed).count() /
-        static_cast<double>(size.iterations);
+    const double fast_us = us_per_step(fast_solver, warmup, size.iterations);
     const KktSummary kkt = validate_lambda_kkt(fast_solver);
 
-    const double pre_pr = pre_frontier_serial_us(size.m, size.n);
-    const double default_speedup = pre_pr > 0.0 ? pre_pr / default_us : 0.0;
-    const double fast_speedup = pre_pr > 0.0 ? pre_pr / fast_us : 0.0;
+    const double fast_speedup = default_us / fast_us;
     frontier_table.add_row(
         std::to_string(size.m),
-        {static_cast<double>(size.n), default_us, fast_us, pre_pr,
-         default_speedup, fast_speedup, kkt.max_residual,
-         kkt.passed ? 1.0 : 0.0},
+        {static_cast<double>(size.n), default_us, fast_us, fast_speedup,
+         kkt.max_residual, kkt.passed ? 1.0 : 0.0},
         2);
     frontier_csv.row({static_cast<double>(size.m),
                       static_cast<double>(size.n),
                       static_cast<double>(size.iterations), default_us,
-                      fast_us, pre_pr, default_speedup, fast_speedup,
-                      kkt.max_residual, kkt.passed ? 1.0 : 0.0});
+                      fast_us, fast_speedup, kkt.max_residual,
+                      kkt.passed ? 1.0 : 0.0});
     obs::JsonValue row = obs::JsonValue::object();
     row.set("m", obs::JsonValue(static_cast<std::int64_t>(size.m)));
     row.set("n", obs::JsonValue(static_cast<std::int64_t>(size.n)));
     row.set("iterations", obs::JsonValue(size.iterations));
     row.set("default_us_per_iter", obs::JsonValue(default_us));
     row.set("fast_us_per_iter", obs::JsonValue(fast_us));
-    row.set("pre_pr_us", obs::JsonValue(pre_pr));
-    row.set("default_speedup", obs::JsonValue(default_speedup));
     row.set("fast_speedup", obs::JsonValue(fast_speedup));
     row.set("kkt_max_residual", obs::JsonValue(kkt.max_residual));
     row.set("kkt_passed", obs::JsonValue(kkt.passed));

@@ -5,8 +5,7 @@
 
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::seed_robustness() {
   bench::print_header(
       "Robustness - headline metrics across scenario seeds",
       "conclusions should hold for any trace realization");

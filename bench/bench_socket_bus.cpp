@@ -69,7 +69,7 @@ Message make_assignment(const Message& proposal) {
 /// assignments back, everything through the serialize/deserialize codec.
 TransportPoint run_in_process(std::size_t m, std::size_t n, int rounds) {
   MessageBus bus{BusConfig{}};
-  for (int k = 1; k <= rounds; ++k) {
+  const auto run_round = [&](int k) {
     bus.begin_round(k);
     for (std::size_t i = 0; i < m; ++i)
       for (std::size_t j = 0; j < n; ++j) bus.send(make_proposal(i, j, k));
@@ -77,18 +77,10 @@ TransportPoint run_in_process(std::size_t m, std::size_t n, int rounds) {
       for (const Message& proposal : bus.drain(datacenter_id(j)))
         bus.send(make_assignment(proposal));
     for (std::size_t i = 0; i < m; ++i) (void)bus.drain(front_end_id(i));
-  }
-  // Timed pass after a warm-up sweep of the same shape.
+  };
+  for (int k = 1; k <= rounds; ++k) run_round(k);  // warm-up
   const util::MonotonicTimer timer;
-  for (int k = rounds + 1; k <= 2 * rounds; ++k) {
-    bus.begin_round(k);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < n; ++j) bus.send(make_proposal(i, j, k));
-    for (std::size_t j = 0; j < n; ++j)
-      for (const Message& proposal : bus.drain(datacenter_id(j)))
-        bus.send(make_assignment(proposal));
-    for (std::size_t i = 0; i < m; ++i) (void)bus.drain(front_end_id(i));
-  }
+  for (int k = rounds + 1; k <= 2 * rounds; ++k) run_round(k);
   const double seconds = timer.elapsed_seconds();
   TransportPoint point{"in_process", m, n, rounds};
   point.rounds_per_sec = rounds / seconds;
@@ -170,7 +162,7 @@ TransportPoint run_socket(const std::string& transport, std::size_t m,
 
 }  // namespace
 
-int main() {
+int ufc::bench::socket_bus() {
   bench::print_header(
       "Socket transport overhead",
       "distributed runtime robustness study (docs/DISTRIBUTION.md)");

@@ -6,8 +6,7 @@
 #include "bench_common.hpp"
 #include "sim/storage.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::storage_extension() {
   bench::print_header(
       "Extension - battery storage on top of the hybrid strategy",
       "per-slot paper model + threshold charging; cf. peak shaving [19]");

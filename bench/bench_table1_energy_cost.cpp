@@ -3,8 +3,7 @@
 // Facebook-like power demand profile.
 #include "bench_common.hpp"
 
-int main() {
-  using namespace ufc;
+int ufc::bench::table1_energy_cost() {
   bench::print_header(
       "Table I - energy costs of different strategies",
       "Dallas: 9644 / 27957 / 9387; San Jose: 28470 / 27957 / 18250 ($)");

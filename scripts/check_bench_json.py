@@ -3,7 +3,7 @@
 
 Two schemas are checked (see docs/OBSERVABILITY.md):
 
-  ufc-bench-v1   BENCH_ufc.json — written by the bench binaries through
+  ufc-bench-v1   BENCH_ufc.json — written by the ufc_bench experiments through
                  obs::update_bench_artifact(). A document with a "benchmarks"
                  list of {"name", "metrics"} entries; names must be unique
                  non-empty snake_case identifiers and metrics a JSON object.

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Builds the project and regenerates every table/figure of the paper plus
-# the ablation/extension benches. CSVs land in the directory this script is
-# run from; pass a directory argument to collect them elsewhere.
+# Builds the two bench executables and regenerates every table/figure of the
+# paper plus the ablation/extension experiments (ufc_bench with no arguments
+# runs them all), then the google-benchmark micro suite. CSVs land in the
+# directory this script is run from; pass a directory argument to collect
+# them elsewhere.
 #
 # Builds happen in a dedicated build-bench/ directory so this script never
 # fights over the generator with a build/ tree configured by another flow
@@ -27,23 +29,13 @@ fi
 
 cmake -B "$build_dir" -S "$repo_root" "${generator_args[@]}" \
       -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j --target ufc_bench bench_micro_solvers
 
 mkdir -p "$out_dir"
 cd "$out_dir"
-shopt -s nullglob
-benches=("$build_dir"/bench/*)
-if [[ ${#benches[@]} -eq 0 ]]; then
-  echo "run_benches: no bench binaries found under $build_dir/bench" >&2
-  exit 1
-fi
-for bench in "${benches[@]}"; do
-  if [[ -f "$bench" && -x "$bench" ]]; then
-    echo "### $(basename "$bench")"
-    "$bench"
-    echo
-  fi
-done
+"$build_dir/bench/ufc_bench"
+echo "### bench_micro_solvers"
+"$build_dir/bench/bench_micro_solvers"
 
 echo "CSV series written to $out_dir:"
-ls -1 "$out_dir"/ufc_*.csv
+ls -1 ufc_*.csv

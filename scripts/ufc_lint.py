@@ -728,7 +728,7 @@ def layer_graph_dot(tree: Tree) -> str:
             edges[(source.layer, target)] = edges.get(
                 (source.layer, target), 0) + 1
     lines = [
-        "// Observed src/ layer graph. Generated by scripts/ufc_analyze.py "
+        "// Observed src/ layer graph. Generated by scripts/ufc_lint.py "
         "--dot;",
         "// regenerate after layering changes (the check-dot ctest entry "
         "keeps it fresh).",
@@ -927,9 +927,14 @@ _CALL_KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof",
 _TYPE_TOKENS = ("void", "const", "int", "double", "float", "bool", "auto",
                 "char", "size_t", "uint64_t", "int64_t", "uint32_t",
                 "int32_t", "byte")
+# A function name: an identifier, a destructor, or an operator
+# (`operator+=`, `operator()`, `operator[]`). The operator alternative comes
+# first so `operator()(` names `operator()`, not `operator`.
+OPERATOR_NAME = r"operator\s*(?:\(\)|\[\]|[^\s\w()]+)"
+FUNCTION_NAME = rf"{OPERATOR_NAME}|~?[A-Za-z_]\w*"
 DEF_RE = re.compile(
     r"^(?!\s)(?:[\w:<>,*&\s]+?[\s&*])?"
-    r"(?:([A-Za-z_]\w*)\s*::\s*)?(~?[A-Za-z_]\w*)\s*\(",
+    rf"(?:([A-Za-z_]\w*)\s*::\s*)?({FUNCTION_NAME})\s*\(",
     re.MULTILINE)
 
 
@@ -944,9 +949,9 @@ class Definition:
 
 
 def _parameter_names(signature: str) -> list[str]:
-    """Parameter names of a definition's signature. Unnamed parameters
-    (`const SolveCore& /*core*/`) yield nothing: their last token is a
-    CamelCase or builtin type name."""
+    """Parameter names of a definition's signature, which starts at the
+    parameter list's '('. Unnamed parameters (`const SolveCore& /*core*/`)
+    yield nothing: their last token is a CamelCase or builtin type name."""
     open_paren = signature.find("(")
     close_paren = _close_paren(signature, open_paren) if open_paren >= 0 \
         else None
@@ -992,7 +997,7 @@ def _definitions_in(source: SourceFile) -> list[Definition]:
         defs.append(Definition(
             rel=source.rel, name=m.group(2), qualifier=m.group(1) or "",
             start_line=source.line_of(m.start()) + 1,
-            params=_parameter_names(signature),
+            params=_parameter_names(source.code[m.end() - 1:span[0]]),
             body=source.code[_close_paren(source.code, m.end() - 1) + 1:
                              span[1]]))
     return defs
@@ -1066,10 +1071,11 @@ _CLASS_OPEN_RE = re.compile(
     r"\s*(?:template\s*<.*>\s*)?(class|struct|union)\s+([A-Za-z_]\w*)", re.S)
 _NOT_A_FUNCTION = ("using ", "typedef ", "friend ", "template", "static_assert",
                    "enum ", "class ", "struct ", "union ", "namespace ")
-FREE_DECL_RE = re.compile(r"^[A-Za-z_][\w:<>,&*\s]*?\b([a-z_]\w*)\s*\(")
+FREE_DECL_RE = re.compile(
+    rf"^[A-Za-z_][\w:<>,&*\s]*?\b({OPERATOR_NAME}|[a-z_]\w*)\s*\(")
 METHOD_DECL_RE = re.compile(
     r"^(?:(?:virtual|static|explicit|inline|constexpr)\s+)*"
-    r"[\w:<>,*&\s]*?\b(~?[A-Za-z_]\w*)\s*\(")
+    rf"[\w:<>,*&\s]*?\b({FUNCTION_NAME})\s*\(")
 
 
 def _public_entry_points(source: SourceFile) -> list[tuple[int, str, str]]:
@@ -1213,7 +1219,7 @@ def _enclosing_params(source: SourceFile, offset: int) -> list[str] | None:
     for m in DEF_RE.finditer(source.code):
         span = _body_span(source.code, m.end() - 1)
         if span is not None and span[0] <= offset < span[1]:
-            return _parameter_names(source.code[m.start():span[0]])
+            return _parameter_names(source.code[m.end() - 1:span[0]])
     return None
 
 
@@ -1290,7 +1296,7 @@ RULES = {
     "float-equal": (check_float_equal,
                     "no ==/!= on float literals outside tolerance helpers"),
     "bench-csv-name": (check_bench_csv_name,
-                       "bench binaries write only ufc_*.csv"),
+                       "bench experiments write only ufc_*.csv"),
     "no-alloc-in-step": (check_no_alloc_in_step,
                          "no Mat/Vec construction in the ADM-G hot path or "
                          "the exact QP kernels"),

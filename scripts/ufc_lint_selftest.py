@@ -520,6 +520,23 @@ CASES = [
               "  return phi + rho * (alpha + beta - nu);\n}\n\n"
               "}  // namespace ufc::admm\n"},
          says="update_phi"),
+    # Operators are entry points too, members and free ones alike.
+    fail("unguarded_member_operator_fails", "expects-reach",
+         {"src/math/vec.hpp": "#pragma once\nclass Vec {\n public:\n"
+                              "  Vec& operator+=(const Vec& other);\n};\n",
+          "src/math/vec.cpp": "Vec& Vec::operator+=(const Vec& other) {\n"
+                              "  data_[0] += other.data_[0];\n"
+                              "  return *this;\n}\n"},
+         says="Vec::operator+="),
+    ok("guarded_free_operator_passes", "expects-reach",
+       {"src/math/vec.hpp": "#pragma once\nnamespace ufc {\n\n"
+                            "Vec operator-(Vec lhs, const Vec& rhs);\n\n"
+                            "}  // namespace ufc\n",
+        "src/math/vec.cpp": "namespace ufc {\n\n"
+                            "Vec operator-(Vec lhs, const Vec& rhs) {\n"
+                            "  UFC_EXPECTS(lhs.size() == rhs.size());\n"
+                            "  return lhs;\n}\n\n"
+                            "}  // namespace ufc\n"}),
     # -- net-io-confinement --------------------------------------------------
     fail("os_call_outside_confined_files_fails", "net-io-confinement",
          {"src/net/bus.cpp": "int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);\n"},

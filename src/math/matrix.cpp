@@ -103,6 +103,7 @@ Mat& Mat::operator-=(const Mat& other) {
   return *this;
 }
 
+// ufc-lint: allow(expects-reach) — total: any scalar scales any matrix.
 Mat& Mat::operator*=(double scalar) {
   for (auto& x : data_) x *= scalar;
   return *this;

@@ -1,4 +1,4 @@
-// Fixed-width console tables, used by the bench binaries to print the
+// Fixed-width console tables, used by the bench experiments to print the
 // paper's tables/series in a readable form next to the CSV output.
 #pragma once
 
